@@ -264,7 +264,7 @@ func (s *Sim) Steps() uint64 { return s.steps }
 
 // Run advances the simulation to the given absolute time.
 //
-//hot
+//mltcp:hot
 func (s *Sim) Run(until sim.Time) {
 	// Loop-invariant hoists: whether telemetry records and the trace
 	// bucket width cannot change mid-run.
@@ -364,7 +364,7 @@ func (s *Sim) Run(until sim.Time) {
 // allocate fills the per-step rate vector, preferring the policy's
 // in-place fast path and falling back to the allocating interface.
 //
-//hot
+//mltcp:hot
 func (s *Sim) allocate(active []*Job) []units.Rate {
 	if cap(s.rates) < len(active) {
 		s.rates = make([]units.Rate, len(active))
@@ -393,7 +393,7 @@ func (s *Sim) allocate(active []*Job) []units.Rate {
 // a due wake rescans all jobs, which preserves the original index-ordered
 // wake (and telemetry) sequence exactly.
 //
-//hot
+//mltcp:hot
 func (s *Sim) wakeDueJobs() {
 	if s.minWake > s.now {
 		return
@@ -436,7 +436,7 @@ func (s *Sim) insertActive(j *Job) {
 // compactActive drops jobs that left the communicating phase during the
 // integration loop, preserving order.
 //
-//hot
+//mltcp:hot
 func (s *Sim) compactActive() {
 	k := 0
 	for _, j := range s.active {
@@ -453,7 +453,7 @@ func (s *Sim) compactActive() {
 
 // nextBoundary returns the interval to the next wake-up or the step limit.
 //
-//hot
+//mltcp:hot
 func (s *Sim) nextBoundary(until sim.Time, active []*Job) sim.Time {
 	dt := until - s.now
 	if len(active) > 0 && s.cfg.Step < dt {

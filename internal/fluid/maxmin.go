@@ -75,13 +75,23 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 // frozen flows' paths. Ties break toward the lowest link index, so the
 // allocation is a pure function of (network, active jobs).
 //
+// The work tracks what changed. The link→flow incidence is cached in
+// sc and rebuilt only when the network or the active jobs change (see
+// AllocScratch for the cache contract). A call evaluates each weight
+// once and each crossed link's Σw and fill level once; a round then
+// refreshes only the links its newly frozen flows cross, and a
+// tournament tree over the crossed links yields the next bottleneck.
+// Every link sum adds its unfrozen flows' weights in ascending flow
+// order and every charge lands in freezing order, exactly as a full
+// rescan per round would, so the rates are bit-identical to it.
+//
 // The result satisfies the allocator invariants pinned by maxmin_test.go:
 // per-link conservation, at least one saturated link on every flow's
 // path, and rates proportional to weights among flows sharing a
 // bottleneck. The scratch records each flow's freezing link in
 // sc.Bottleneck.
 //
-//hot
+//mltcp:hot
 func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	n := len(active)
 	for i := range rates {
@@ -90,119 +100,150 @@ func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate
 	if n == 0 {
 		return
 	}
-	nl := len(nw.Capacities)
-	sc.links(nl)
-	sc.flows(n)
-	load, wsum, done := sc.Load, sc.WSum, sc.Done
-	frozen, weights := sc.Frozen, sc.Weights
-
-	// Clear the weight sums the previous call left behind (exactly the
-	// previous candidate set, possibly beyond this call's nl when the
-	// scratch served a larger fabric — the capacity view covers both),
-	// then charge every active flow's weight along its path.
-	wfull := sc.WSum[:cap(sc.WSum)]
-	for _, l := range sc.cands {
-		wfull[l] = 0
+	inc := &sc.inc
+	if !inc.matches(nw, active) {
+		inc.build(nw, active)
 	}
-	sc.cands = sc.cands[:0]
+	sc.flows(n)
+	frozen, weights := sc.Frozen, sc.Weights
 	for i, j := range active {
-		if len(j.Path) == 0 {
-			panicNoPath(j)
-		}
 		weights[i] = j.Weight()
 	}
-	for i, j := range active {
-		for _, l := range j.Path {
-			wsum[l] += weights[i]
-		}
-	}
-	// Candidate links — those crossed by any active flow with positive
-	// weight — in ascending index order, so the bottleneck tie-break
-	// (lowest index first) is identical to a full scan: every skipped
-	// link has wsum == 0 in this and every later round (weights are
-	// non-negative and the unfrozen set only shrinks), so the full scan
-	// would skip it too. Load and Done are cleared candidate-wise; the
-	// rest of the fabric keeps stale values nothing below reads.
-	for l := 0; l < nl; l++ {
-		if wsum[l] > 0 {
-			sc.cands = append(sc.cands, l)
-			load[l] = 0
-			done[l] = false
-		}
-	}
-	cands := sc.cands
 
-	for remaining, first := n, true; remaining > 0; {
-		if first {
-			first = false // round 1's weight sums were computed above
-		} else {
-			for _, l := range cands {
-				wsum[l] = 0
-			}
-			for i, j := range active {
-				if frozen[i] {
-					continue
-				}
-				for _, l := range j.Path {
-					wsum[l] += weights[i]
-				}
-			}
+	m := len(inc.links)
+	size := 1
+	for size < m {
+		size <<= 1
+	}
+	sc.positions(m, size)
+	load, wsum, fill, live, tree := sc.load, sc.wsum, sc.fill, sc.live, sc.tree
+	caps, links := nw.Capacities, inc.links
+	rowStart, rowFlow := inc.rowStart, inc.rowFlow
+
+	// Round one: every crossed link's Σw over all active flows. Only
+	// links with Σw > 0 now are ever bottleneck candidates.
+	for p := 0; p < m; p++ {
+		var s float64
+		for _, f := range rowFlow[rowStart[p]:rowStart[p+1]] {
+			s += weights[f]
 		}
-		// The next bottleneck: least headroom per unit of unfrozen weight.
-		bottleneck := -1
-		var bottleneckFill float64
-		for _, l := range cands {
-			if done[l] || wsum[l] <= 0 {
-				continue
-			}
-			fill := (float64(nw.Capacities[l]) - load[l]) / wsum[l]
-			if fill < 0 {
-				fill = 0 // float drift below zero headroom: freeze at 0
-			}
-			if bottleneck < 0 || fill < bottleneckFill {
-				bottleneck, bottleneckFill = l, fill
-			}
+		wsum[p], load[p], live[p] = s, 0, s > 0
+		tree[size+p] = -1
+		if s > 0 {
+			fill[p] = fillLevel(caps[links[p]], 0, s)
+			tree[size+p] = int32(p)
 		}
-		if bottleneck < 0 {
+	}
+	for v := size + m; v < 2*size; v++ {
+		tree[v] = -1
+	}
+	for v := size - 1; v >= 1; v-- {
+		tree[v] = winner(tree[2*v], tree[2*v+1], fill)
+	}
+
+	for remaining := n; remaining > 0; {
+		b := tree[1]
+		if b < 0 {
 			// Only reachable if every remaining flow has zero weight on
 			// every link (Σw = 0 everywhere): nothing left to fill.
 			break
 		}
-		headroom := float64(nw.Capacities[bottleneck]) - load[bottleneck]
+		bottleneck := links[b]
+		headroom := float64(caps[bottleneck]) - load[b]
 		if headroom < 0 {
 			headroom = 0
 		}
-		for i, j := range active {
-			if frozen[i] {
-				continue
-			}
-			onBottleneck := false
-			for _, l := range j.Path {
-				if l == bottleneck {
-					onBottleneck = true
-					break
-				}
-			}
-			if !onBottleneck {
+		touched := sc.touched[:0]
+		for _, f := range rowFlow[rowStart[b]:rowStart[b+1]] {
+			if frozen[f] {
 				continue
 			}
 			// capacity·w/Σw ordering matches WeightedShare exactly when
 			// the bottleneck is the flows' first (load 0, headroom = cap).
-			r := headroom * weights[i] / wsum[bottleneck]
-			rates[i] = units.Rate(r)
-			frozen[i] = true
-			sc.Bottleneck[i] = bottleneck
+			r := headroom * weights[f] / wsum[b]
+			rates[f] = units.Rate(r)
+			frozen[f] = true
+			sc.Bottleneck[f] = bottleneck
 			remaining--
-			for _, l := range j.Path {
-				load[l] += r
+			for _, p := range inc.pathPos[inc.pathOff[f]:inc.pathOff[f+1]] {
+				load[p] += r
+				if !sc.mark[p] {
+					sc.mark[p] = true
+					touched = append(touched, p)
+				}
 			}
 		}
-		done[bottleneck] = true
+		sc.touched = touched
+		live[b] = false
+		replay(tree, size, b, -1, fill)
+		// Refresh the links the freezes charged: Σw over their unfrozen
+		// flows in ascending order, and the fill level. Every other
+		// link's flows, sum and load are unchanged.
+		for _, p := range touched {
+			sc.mark[p] = false
+			if !live[p] {
+				continue
+			}
+			var s float64
+			for _, f := range rowFlow[rowStart[p]:rowStart[p+1]] {
+				if !frozen[f] {
+					s += weights[f]
+				}
+			}
+			wsum[p] = s
+			leaf := int32(-1)
+			if s > 0 {
+				fill[p] = fillLevel(caps[links[p]], load[p], s)
+				leaf = p
+			}
+			replay(tree, size, p, leaf, fill)
+		}
+	}
+}
+
+// fillLevel is a link's fill level: how far its unfrozen flows' level
+// can rise per unit of weight before the link saturates. Float drift
+// below zero headroom freezes at 0.
+func fillLevel(capacity units.Rate, load, wsum float64) float64 {
+	fill := (float64(capacity) - load) / wsum
+	if fill < 0 {
+		fill = 0
+	}
+	return fill
+}
+
+// winner plays one tournament match between positions a and b (-1 is an
+// empty slot), with a below b. The lower fill wins and a tie goes to a,
+// which is the first-minimum rule of an ascending linear scan.
+func winner(a, b int32, fill []float64) int32 {
+	if b < 0 {
+		return a
+	}
+	if a < 0 || fill[b] < fill[a] {
+		return b
+	}
+	return a
+}
+
+// replay sets position p's leaf and replays the matches on its path to
+// the root. It stops at the first node whose winner is unchanged and is
+// not p itself: above it every match sees the same players with the
+// same fill levels.
+func replay(tree []int32, size int, p, leaf int32, fill []float64) {
+	v := size + int(p)
+	tree[v] = leaf
+	for v > 1 {
+		v >>= 1
+		w := winner(tree[2*v], tree[2*v+1], fill)
+		if w == tree[v] && w != p {
+			return
+		}
+		tree[v] = w
 	}
 }
 
 // panicNoPath keeps the panic formatting (whose fmt arguments box) out
-// of the //hot allocator body.
+// of the //mltcp:hot allocator body.
 func panicNoPath(j *Job) {
 	panic(fmt.Sprintf("fluid: job %s has no path", j.Spec.Label()))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mltcp/internal/core"
+	"mltcp/internal/netsim"
 	"mltcp/internal/sim"
 	"mltcp/internal/units"
 	"mltcp/internal/workload"
@@ -269,4 +270,404 @@ func TestSimNetworkValidation(t *testing.T) {
 	mustPanic("bad link index", func() {
 		New(Config{Network: nw, Policy: MaxMin{}}, []*Job{netJob("x", 1, []int{3})})
 	})
+}
+
+// refScratch is the working set of refMaxMin: per-link arrays over the
+// whole fabric plus the candidate list, as the allocator kept them
+// before it cached the link→flow incidence.
+type refScratch struct {
+	Load []float64
+	WSum []float64
+	Done []bool
+
+	Frozen     []bool
+	Weights    []float64
+	Bottleneck []int
+
+	cands []int
+}
+
+func (sc *refScratch) links(n int) {
+	if cap(sc.Load) < n {
+		sc.Load = make([]float64, n)
+		sc.WSum = make([]float64, n)
+		sc.Done = make([]bool, n)
+	}
+	sc.Load = sc.Load[:n]
+	sc.WSum = sc.WSum[:n]
+	sc.Done = sc.Done[:n]
+}
+
+func (sc *refScratch) flows(n int) {
+	if cap(sc.Frozen) < n {
+		sc.Frozen = make([]bool, n)
+		sc.Weights = make([]float64, n)
+		sc.Bottleneck = make([]int, n)
+	}
+	sc.Frozen = sc.Frozen[:n]
+	sc.Weights = sc.Weights[:n]
+	sc.Bottleneck = sc.Bottleneck[:n]
+	for i := 0; i < n; i++ {
+		sc.Frozen[i] = false
+		sc.Bottleneck[i] = -1
+	}
+}
+
+// refMaxMin is the reference progressive filling the incremental
+// allocator must reproduce bit for bit: every round re-sums every
+// unfrozen path, rescans every candidate link with one divide each and
+// checks every unfrozen path for the bottleneck.
+func refMaxMin(nw *Network, active []*Job, rates []units.Rate, sc *refScratch) {
+	n := len(active)
+	for i := range rates {
+		rates[i] = 0
+	}
+	if n == 0 {
+		return
+	}
+	nl := len(nw.Capacities)
+	sc.links(nl)
+	sc.flows(n)
+	load, wsum, done := sc.Load, sc.WSum, sc.Done
+	frozen, weights := sc.Frozen, sc.Weights
+
+	// Clear the weight sums the previous call left behind (exactly the
+	// previous candidate set, possibly beyond this call's nl when the
+	// scratch served a larger fabric — the capacity view covers both),
+	// then charge every active flow's weight along its path.
+	wfull := sc.WSum[:cap(sc.WSum)]
+	for _, l := range sc.cands {
+		wfull[l] = 0
+	}
+	sc.cands = sc.cands[:0]
+	for i, j := range active {
+		if len(j.Path) == 0 {
+			panicNoPath(j)
+		}
+		weights[i] = j.Weight()
+	}
+	for i, j := range active {
+		for _, l := range j.Path {
+			wsum[l] += weights[i]
+		}
+	}
+	// Candidate links — those crossed by any active flow with positive
+	// weight — in ascending index order, so the bottleneck tie-break
+	// (lowest index first) is identical to a full scan: every skipped
+	// link has wsum == 0 in this and every later round (weights are
+	// non-negative and the unfrozen set only shrinks), so the full scan
+	// would skip it too. Load and Done are cleared candidate-wise; the
+	// rest of the fabric keeps stale values nothing below reads.
+	for l := 0; l < nl; l++ {
+		if wsum[l] > 0 {
+			sc.cands = append(sc.cands, l)
+			load[l] = 0
+			done[l] = false
+		}
+	}
+	cands := sc.cands
+
+	for remaining, first := n, true; remaining > 0; {
+		if first {
+			first = false // round 1's weight sums were computed above
+		} else {
+			for _, l := range cands {
+				wsum[l] = 0
+			}
+			for i, j := range active {
+				if frozen[i] {
+					continue
+				}
+				for _, l := range j.Path {
+					wsum[l] += weights[i]
+				}
+			}
+		}
+		// The next bottleneck: least headroom per unit of unfrozen weight.
+		bottleneck := -1
+		var bottleneckFill float64
+		for _, l := range cands {
+			if done[l] || wsum[l] <= 0 {
+				continue
+			}
+			fill := (float64(nw.Capacities[l]) - load[l]) / wsum[l]
+			if fill < 0 {
+				fill = 0 // float drift below zero headroom: freeze at 0
+			}
+			if bottleneck < 0 || fill < bottleneckFill {
+				bottleneck, bottleneckFill = l, fill
+			}
+		}
+		if bottleneck < 0 {
+			// Only reachable if every remaining flow has zero weight on
+			// every link (Σw = 0 everywhere): nothing left to fill.
+			break
+		}
+		headroom := float64(nw.Capacities[bottleneck]) - load[bottleneck]
+		if headroom < 0 {
+			headroom = 0
+		}
+		for i, j := range active {
+			if frozen[i] {
+				continue
+			}
+			onBottleneck := false
+			for _, l := range j.Path {
+				if l == bottleneck {
+					onBottleneck = true
+					break
+				}
+			}
+			if !onBottleneck {
+				continue
+			}
+			// capacity·w/Σw ordering matches WeightedShare exactly when
+			// the bottleneck is the flows' first (load 0, headroom = cap).
+			r := headroom * weights[i] / wsum[bottleneck]
+			rates[i] = units.Rate(r)
+			frozen[i] = true
+			sc.Bottleneck[i] = bottleneck
+			remaining--
+			for _, l := range j.Path {
+				load[l] += r
+			}
+		}
+		done[bottleneck] = true
+	}
+}
+
+// setWeight gives a test job the constant weight w (the plain-TCP nil
+// Agg for w = 1, as netJob does).
+func setWeight(j *Job, w float64) {
+	if w == 1 { //lint:allow simunits weight is a test constant; 1 selects the nil-Agg plain-TCP job exactly
+		j.Agg = nil
+		return
+	}
+	f := core.Linear(0, w)
+	j.Agg = &f
+}
+
+// diffSource feeds the differential driver: a seeded RNG, or fuzz bytes
+// that read as zeros once exhausted.
+type diffSource struct {
+	rng  *sim.RNG
+	data []byte
+}
+
+func (s *diffSource) intn(n int) int {
+	if s.rng != nil {
+		return s.rng.Intn(n)
+	}
+	v := 0
+	for k := n - 1; k > 0; k >>= 8 {
+		v <<= 8
+		if len(s.data) > 0 {
+			v |= int(s.data[0])
+			s.data = s.data[1:]
+		}
+	}
+	return v % n
+}
+
+// diffWeight draws a weight: mostly inexact values in the paper's F
+// range (so the order of every sum matters), plus exact 0, 1 and 2 and
+// the occasional negative value.
+func diffWeight(src *diffSource) float64 {
+	switch src.intn(10) {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return 2
+	case 3:
+		return -0.75 + float64(src.intn(1<<20))/(1<<20)
+	default:
+		return 0.25 + 1.75*float64(src.intn(1<<20))/(1<<20)
+	}
+}
+
+// diffFabric is one network and the jobs that may run on it.
+type diffFabric struct {
+	nw   *Network
+	pool []*Job
+}
+
+func newDiffFabric(src *diffSource) diffFabric {
+	sizes := []int{1, 2, 3, 7, 17, 63, 64, 65, 130}
+	nl := sizes[src.intn(len(sizes))]
+	caps := make([]units.Rate, nl)
+	for l := range caps {
+		caps[l] = units.Rate(float64(1+src.intn(1000)) * 1e8)
+	}
+	fab := diffFabric{nw: NewNetwork(caps, nil)}
+	// Some fabrics route every flow over link 0 only: one candidate.
+	single := src.intn(6) == 0
+	for i, n := 0, 1+src.intn(24); i < n; i++ {
+		var path []int
+		if single {
+			path = []int{0}
+		} else {
+			perm := make([]int, nl)
+			for p := range perm {
+				perm[p] = p
+			}
+			pl := 1 + src.intn(6)
+			if pl > nl {
+				pl = nl
+			}
+			for p := 0; p < pl; p++ { // partial Fisher–Yates
+				q := p + src.intn(nl-p)
+				perm[p], perm[q] = perm[q], perm[p]
+			}
+			path = perm[:pl]
+			if src.intn(10) == 0 { // a path that lists one link twice
+				path = append(path, path[src.intn(pl)])
+			}
+		}
+		fab.pool = append(fab.pool, netJob("d", diffWeight(src), path))
+	}
+	return fab
+}
+
+// runDifferential drives one scratch through a call sequence over two
+// fabrics — flows joining and leaving, weights changing under an
+// unchanged active set, zero weights, network switches and fresh slices
+// holding the same pointers — and requires every call to match
+// refMaxMin bit for bit in rates and bottlenecks.
+func runDifferential(t *testing.T, src *diffSource) {
+	t.Helper()
+	fabs := []diffFabric{newDiffFabric(src), newDiffFabric(src)}
+	cur := 0
+	var active []*Job
+	var sc AllocScratch
+	rates := make([]units.Rate, 0, 32)
+	want := make([]units.Rate, 0, 32)
+	steps := 1 + src.intn(64)
+	for step := 0; step < steps; step++ {
+		fab := fabs[cur]
+		switch op := src.intn(8); {
+		case op <= 1: // a pool job joins at a random position
+			j := fab.pool[src.intn(len(fab.pool))]
+			in := false
+			for _, a := range active {
+				in = in || a == j
+			}
+			if !in {
+				k := src.intn(len(active) + 1)
+				active = append(active, nil)
+				copy(active[k+1:], active[k:])
+				active[k] = j
+			}
+		case op == 2 && len(active) > 0: // a job leaves
+			k := src.intn(len(active))
+			active = append(active[:k], active[k+1:]...)
+		case op == 3 && len(active) > 0: // same set, new weight
+			setWeight(active[src.intn(len(active))], diffWeight(src))
+		case op == 4 && len(active) > 0: // same set, a zero weight
+			setWeight(active[src.intn(len(active))], 0)
+		case op == 5: // switch networks with a fresh active subset
+			cur = 1 - cur
+			fab = fabs[cur]
+			active = nil
+			for _, j := range fab.pool {
+				if src.intn(2) == 0 {
+					active = append(active, j)
+				}
+			}
+		case op == 6: // a new []*Job holding the same pointers
+			active = append([]*Job(nil), active...)
+		}
+		rates = rates[:len(active)]
+		want = want[:len(active)]
+		var ref refScratch
+		refMaxMin(fab.nw, active, want, &ref)
+		MaxMin{}.AllocateNetworkInto(fab.nw, active, rates, &sc)
+		for i := range active {
+			if math.Float64bits(float64(rates[i])) != math.Float64bits(float64(want[i])) ||
+				sc.Bottleneck[i] != ref.Bottleneck[i] {
+				t.Fatalf("step %d, %d flows on %d links: flow %d got rate %v (bottleneck %d), reference %v (bottleneck %d)",
+					step, len(active), len(fab.nw.Capacities), i,
+					rates[i], sc.Bottleneck[i], want[i], ref.Bottleneck[i])
+			}
+		}
+	}
+}
+
+// TestMaxMinDifferential checks the incremental allocator against the
+// full-rescan reference over seeded random fabrics and call sequences.
+func TestMaxMinDifferential(t *testing.T) {
+	for seed := uint64(0); seed < 400; seed++ {
+		runDifferential(t, &diffSource{rng: sim.NewRNGAt(11, seed)})
+	}
+}
+
+// FuzzMaxMinDifferential runs the same differential over fuzzer-chosen
+// fabrics and call sequences.
+func FuzzMaxMinDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x05\x20\x11\x03\x00\x40\x01\x07\x02\x05\x06\x03"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runDifferential(t, &diffSource{data: data})
+	})
+}
+
+// TestMaxMinAllocFree pins the allocation budget: zero allocations per
+// call, on an unchanged active set and on one that churns every call
+// once the scratch has grown.
+func TestMaxMinAllocFree(t *testing.T) {
+	nw, jobs := fatTreeSnapshot()
+	var sc AllocScratch
+	rates := make([]units.Rate, len(jobs))
+	if got := testing.AllocsPerRun(100, func() {
+		MaxMin{}.AllocateNetworkInto(nw, jobs, rates, &sc)
+	}); got != 0 {
+		t.Errorf("unchanged active set: %v allocs per call, want 0", got)
+	}
+	a, b := jobs[:len(jobs)-1], jobs[1:]
+	churn := func() {
+		MaxMin{}.AllocateNetworkInto(nw, a, rates[:len(a)], &sc)
+		MaxMin{}.AllocateNetworkInto(nw, b, rates[:len(b)], &sc)
+	}
+	churn()
+	if got := testing.AllocsPerRun(100, churn); got != 0 {
+		t.Errorf("churned active set: %v allocs per call pair, want 0", got)
+	}
+}
+
+// fatTreeSnapshot is a frozen k=8 fat-tree (768 directed links) with 23
+// active flows between random host pairs on their ECMP paths, weighted
+// across the paper's F range.
+func fatTreeSnapshot() (*Network, []*Job) {
+	fab := netsim.NewFatTree(8, 100*units.Gbps, 100*units.Gbps)
+	caps := make([]units.Rate, len(fab.Links()))
+	for l, fl := range fab.Links() {
+		caps[l] = fl.Capacity
+	}
+	nw := NewNetwork(caps, nil)
+	rng := sim.NewRNGAt(5, 0)
+	hosts := fab.Hosts()
+	jobs := make([]*Job, 23)
+	for i := range jobs {
+		src := hosts[rng.Intn(len(hosts))]
+		dst := src
+		for dst == src {
+			dst = hosts[rng.Intn(len(hosts))]
+		}
+		jobs[i] = netJob("f", 0.25+1.75*rng.Float64(), fab.Path(src, dst, rng.Uint64()))
+	}
+	return nw, jobs
+}
+
+// BenchmarkMaxMinFatTree times one allocator call on the frozen fat-tree
+// snapshot with an unchanged active set — the common case in a run.
+func BenchmarkMaxMinFatTree(b *testing.B) {
+	nw, jobs := fatTreeSnapshot()
+	var sc AllocScratch
+	rates := make([]units.Rate, len(jobs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MaxMin{}.AllocateNetworkInto(nw, jobs, rates, &sc)
+	}
 }

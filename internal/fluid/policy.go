@@ -36,7 +36,7 @@ func (p WeightedShare) Allocate(capacity units.Rate, active []*Job) []units.Rate
 // not change within one allocation, so the cached value is bit-identical
 // to re-evaluating it in the second loop.
 //
-//hot
+//mltcp:hot
 func (WeightedShare) AllocateInto(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	weights := sc.weights(len(active))
 	var sum float64

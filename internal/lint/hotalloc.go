@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// hotAllocPaths are the packages whose //hot-marked functions form the
+// hotAllocPaths are the packages whose //mltcp:hot-marked functions form the
 // simulator's dispatch-rate-critical path: the event engine, the fluid
 // integrator, and the packet fabric.
 var hotAllocPaths = []string{
@@ -18,7 +18,7 @@ var hotAllocPaths = []string{
 }
 
 // HotAlloc enforces the hot-path allocation discipline: functions marked
-// with a standalone `//hot` doc-comment line must not allocate per call.
+// with a standalone `//mltcp:hot` doc-comment line must not allocate per call.
 // The two allocation shapes the compiler cannot always elide — and which
 // this repo's refactors specifically removed — are closure literals
 // (each evaluation heap-allocates the captured environment) and value-to-
@@ -37,9 +37,9 @@ var hotAllocPaths = []string{
 // definition stays as the leaf-case reference and fixture anchor.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: `keep //hot functions allocation-free
+	Doc: `keep //mltcp:hot functions allocation-free
 
-Functions whose doc comment contains a standalone //hot line are on the
+Functions whose doc comment contains a standalone //mltcp:hot line are on the
 per-event dispatch path. Closure literals and non-pointer value-to-
 interface conversions inside them allocate on every call; hoist captured
 state into a pre-bound handler struct, or pass pointers. Cold lines
@@ -70,21 +70,46 @@ func runHotAlloc(pass *Pass) error {
 	return nil
 }
 
+// hotMarker is the doc-comment line that puts a function on the hot
+// path. It has the //tool:name directive shape, which gofmt leaves
+// alone; gofmt rewrites a plain //hot into // hot.
+const hotMarker = "//mltcp:hot"
+
 // hotMarked reports whether the function's doc comment contains a
-// standalone //hot line (the convention: last line of the doc block).
+// standalone //mltcp:hot line (the convention: last line of the doc block).
 func hotMarked(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == "//hot" {
+		if c.Text == hotMarker {
 			return true
 		}
 	}
 	return false
 }
 
-// reportAllocSites emits the leaf allocation findings for one //hot
+// lookalikeMarker returns the first doc-comment line of fd that reads
+// as a hot marker but is not one — "// hot", "//hot", "// mltcp:hot",
+// "//mltcp: hot" — and would leave the function unchecked.
+func lookalikeMarker(fd *ast.FuncDecl) (string, bool) {
+	if fd.Doc == nil {
+		return "", false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == hotMarker {
+			continue
+		}
+		t := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
+		t = strings.ToLower(strings.Join(strings.Fields(strings.TrimSuffix(t, "*/")), ""))
+		if t == "hot" || t == "mltcp:hot" {
+			return c.Text, true
+		}
+	}
+	return "", false
+}
+
+// reportAllocSites emits the leaf allocation findings for one //mltcp:hot
 // function; shared by hotalloc (whose whole job this is) and hotcall
 // (which layers call-graph propagation on top).
 func reportAllocSites(pass *Pass, fd *ast.FuncDecl) {
@@ -93,13 +118,13 @@ func reportAllocSites(pass *Pass, fd *ast.FuncDecl) {
 		switch s.kind {
 		case allocClosure:
 			pass.Reportf(s.pos,
-				"closure literal in //hot function %s allocates its capture environment per call; hoist state into a pre-bound handler struct", name)
+				"closure literal in //mltcp:hot function %s allocates its capture environment per call; hoist state into a pre-bound handler struct", name)
 		case allocConvert:
 			pass.Reportf(s.pos,
-				"%s in //hot function %s boxes the value per call", s.detail, name)
+				"%s in //mltcp:hot function %s boxes the value per call", s.detail, name)
 		case allocArg:
 			pass.Reportf(s.pos,
-				"%s passed to interface parameter in //hot function %s boxes per call; pass a pointer or pre-bind the handler", s.detail, name)
+				"%s passed to interface parameter in //mltcp:hot function %s boxes per call; pass a pointer or pre-bind the handler", s.detail, name)
 		}
 	})
 }

@@ -5,7 +5,7 @@
 // float seconds), telemetry emission hygiene (nil-receiver-safe
 // recorders, integer-ns timestamps), registry-sourced CLI names,
 // seed-provenance taint (seedflow), a transitive allocation-free
-// discipline for //hot-marked event-path functions (hotcall), and
+// discipline for //mltcp:hot-marked event-path functions (hotcall), and
 // goroutine-lifecycle joining (concguard).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
@@ -285,7 +285,7 @@ func auditAllows(fset *token.FileSet, files []*ast.File, info *types.Info,
 
 // factSuppressionAt reports whether a //lint:allow on the given line
 // suppresses a fact instead of a diagnostic: an allocation site (for
-// hotcall/hotalloc, which may sit in a non-//hot function and so never
+// hotcall/hotalloc, which may sit in a non-//mltcp:hot function and so never
 // produce a local finding, while still killing FactAllocates) or a
 // wall-clock read (for simdeterminism, killing FactUsesWallClock).
 // Such markers are load-bearing even when no diagnostic consumed them.

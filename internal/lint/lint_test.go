@@ -138,6 +138,33 @@ func TestHotCallSupersetOfHotAlloc(t *testing.T) {
 	}
 }
 
+// TestHotCallFlagsRetiredMarker covers the one lookalike a fixture file
+// cannot hold: gofmt rewrites a plain //hot doc line to // hot, so the
+// retired spelling is checked from source that never meets gofmt.
+func TestHotCallFlagsRetiredMarker(t *testing.T) {
+	src := "package p\n\n//hot\nfunc f() {}\n\n//mltcp:hot\nfunc g() {}\n"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []*ast.File{f}
+	pkg, info, soft, err := lint.Check(fset, lint.ExportImporter(fset, nil), "mltcp/internal/sim", files)
+	if err != nil || len(soft) > 0 {
+		t.Fatalf("type-checking: %v %v", err, soft)
+	}
+	store := lint.NewFactStore()
+	lint.Summarize(fset, files, pkg, info, store)
+	diags, err := lint.AnalyzeFacts(fset, files, pkg, info, []*lint.Analyzer{lint.HotCall}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `function f: doc line "//hot" is not the hot marker, so the function is not checked; write //mltcp:hot`
+	if len(diags) != 1 || diags[0].Message != want || diags[0].Pos.Line != 4 {
+		t.Fatalf("diagnostics %v, want one at line 4: %s", diags, want)
+	}
+}
+
 // TestScoping pins each analyzer's package-path scope: simulation rules
 // stay out of cmd/*, the conversion-defining packages stay exempt, and
 // registry-name checks never fire inside internal/*.

@@ -14,17 +14,17 @@ func localAlloc(v int) { localSink(v) }
 // localDeep reaches localAlloc through one more in-package hop.
 func localDeep(v int) { localAlloc(v) }
 
-//hot
+//mltcp:hot
 func hotLeaf(v int) {
-	f := func() int { return v } // want "closure literal in //hot function hotLeaf"
+	f := func() int { return v } // want "closure literal in //mltcp:hot function hotLeaf"
 	_ = f
-	localSink(v) // want "value of type int passed to interface parameter in //hot function hotLeaf"
+	localSink(v) // want "value of type int passed to interface parameter in //mltcp:hot function hotLeaf"
 }
 
-//hot
+//mltcp:hot
 func hotCrossPackage(v int) {
-	helper.Boxy(v)    // want "//hot function hotCrossPackage calls helper.Boxy, which allocates per call"
-	helper.Wrapped(v) // want "//hot function hotCrossPackage calls helper.Wrapped, which allocates per call"
+	helper.Boxy(v)    // want "//mltcp:hot function hotCrossPackage calls helper.Boxy, which allocates per call"
+	helper.Wrapped(v) // want "//mltcp:hot function hotCrossPackage calls helper.Wrapped, which allocates per call"
 	_ = helper.Clean(v)
 	helper.Justified(v) // suppression at the leaf killed the fact: clean
 	if v < 0 {
@@ -32,13 +32,13 @@ func hotCrossPackage(v int) {
 	}
 }
 
-//hot
+//mltcp:hot
 func hotInPackage(v int) {
-	localAlloc(v) // want "//hot function hotInPackage calls fixture.localAlloc, which allocates per call"
-	localDeep(v)  // want "//hot function hotInPackage calls fixture.localDeep, which allocates per call"
+	localAlloc(v) // want "//mltcp:hot function hotInPackage calls fixture.localAlloc, which allocates per call"
+	localDeep(v)  // want "//mltcp:hot function hotInPackage calls fixture.localDeep, which allocates per call"
 }
 
-//hot
+//mltcp:hot
 func hotJustifiedCall(v int) {
 	helper.Boxy(v) //lint:allow hotcall fixture: justified cold call on a hot path
 }
@@ -49,3 +49,17 @@ func coldCaller(v int) {
 	localAlloc(v)
 	_ = func() int { return v }
 }
+
+// lookalikeSpace carries what gofmt makes of a plain //hot line. The
+// function goes unchecked, and that is the finding.
+//
+// hot
+func lookalikeSpace(v int) { localSink(v) } // want `function lookalikeSpace: doc line "// hot" is not the hot marker`
+
+// lookalikeSpacedDirective is a directive spelled with a space.
+//
+// mltcp: hot
+func lookalikeSpacedDirective(v int) { localSink(v) } // want `function lookalikeSpacedDirective: doc line "// mltcp: hot" is not the hot marker`
+
+// notAMarker mentions the hot path in prose: clean.
+func notAMarker(v int) { localSink(v) }

@@ -1,6 +1,6 @@
 // Fixture helper package for hotcall: lives outside the hot-path
 // package set, so nothing here is reported directly — but Summarize
-// records which of these functions allocate, and the //hot fixture
+// records which of these functions allocate, and the //mltcp:hot fixture
 // package must see those facts through its import.
 package helper
 

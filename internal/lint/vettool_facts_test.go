@@ -15,7 +15,7 @@ import (
 // TestVettoolFacts drives the vetx facts channel by hand, playing the
 // role of cmd/go: a facts-only pass over internal/sim, a dependent pass
 // over internal/units that consumes sim's vetx file and emits its own,
-// and finally a synthetic //hot package whose only violation is visible
+// and finally a synthetic //mltcp:hot package whose only violation is visible
 // through the units facts — proving the tool both emits and consumes
 // serialized facts across process boundaries.
 func TestVettoolFacts(t *testing.T) {
@@ -159,7 +159,7 @@ func TestVettoolFacts(t *testing.T) {
 		t.Error("units vetx does not re-export sim facts")
 	}
 
-	// Pass 3: a synthetic hot-path package whose //hot function calls
+	// Pass 3: a synthetic hot-path package whose //mltcp:hot function calls
 	// units.Rate.String. With units facts supplied the boxing inside
 	// trimUnit is visible two packages away; without them, nothing is —
 	// the difference in exit codes is the consumption proof.
@@ -172,7 +172,7 @@ func TestVettoolFacts(t *testing.T) {
 
 import "mltcp/internal/units"
 
-//hot
+//mltcp:hot
 func hot(r units.Rate) string { return r.String() }
 
 var _ = hot

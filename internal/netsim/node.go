@@ -77,7 +77,7 @@ func (h *Host) SetPool(pp *PacketPool) { h.pool = pp }
 // NewPacket returns a zeroed packet for an endpoint to populate and Send,
 // drawn from the topology pool when one is attached.
 //
-//hot
+//mltcp:hot
 func (h *Host) NewPacket() *Packet { return h.pool.Get() }
 
 // Attach registers the endpoint handling the given flow. Attaching a second
@@ -104,7 +104,7 @@ func (h *Host) Send(p *Packet) {
 // endpoints consume fields synchronously and never retain the struct, so
 // it is recycled as soon as HandlePacket returns.
 //
-//hot
+//mltcp:hot
 func (h *Host) Receive(eng *sim.Engine, p *Packet) {
 	ep, ok := h.endpoints[p.Flow]
 	if !ok {
@@ -115,7 +115,7 @@ func (h *Host) Receive(eng *sim.Engine, p *Packet) {
 }
 
 // panicUnknownFlow keeps the panic formatting (whose fmt arguments box)
-// out of the //hot dispatch body.
+// out of the //mltcp:hot dispatch body.
 func (h *Host) panicUnknownFlow(p *Packet) {
 	panic(fmt.Sprintf("netsim: host %s received packet for unknown flow %d", h.name, p.Flow))
 }

@@ -49,7 +49,7 @@ func (g *Registry) Gauge(name string) *Gauge {
 // they are ignored on later calls for the same name).
 // The bounds panic formats through an always-panicking helper so the
 // steady-state lookup stays allocation-free: Histogram is reached from
-// //hot fluid code via Recorder.IterEnd, and the fact layer exempts
+// //mltcp:hot fluid code via Recorder.IterEnd, and the fact layer exempts
 // functions that panic on every path.
 func (g *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h, ok := g.hists[name]

@@ -52,7 +52,7 @@ func trimUnit(v float64, unit string) string {
 //
 // The panic formatting lives in a dedicated always-panicking helper so
 // this function stays allocation-free on its live path: it sits on the
-// per-packet dispatch chain of //hot netsim code, and the fact layer
+// per-packet dispatch chain of //mltcp:hot netsim code, and the fact layer
 // exempts functions that panic on every path.
 func (r Rate) TransmissionTime(bytes int64) sim.Time {
 	if r <= 0 {
