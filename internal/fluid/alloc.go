@@ -1,16 +1,11 @@
 package fluid
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"mltcp/internal/units"
-)
-
-// AllocScratch is the reusable working set for in-place allocators. The
-// Sim owns one and passes it to every AllocateInto/AllocateNetworkInto
-// call, so steady-state allocation decisions touch only flat arrays and
-// allocate nothing. The slices grow to the simulation's link and flow
-// counts once and are then recycled.
+// AllocScratch is the reusable working set for Policy.Allocate. The Sim
+// owns one and passes it to every call, so steady-state allocation
+// decisions touch only flat arrays and allocate nothing. The slices grow
+// to the simulation's link and flow counts once and are then recycled.
 //
 // The max-min allocator also caches the link→flow incidence of its last
 // active set here. The cache is keyed on the *Network and on the
@@ -29,7 +24,7 @@ type AllocScratch struct {
 	inc incidence
 
 	// Per crossed link, indexed by incidence position and reset by every
-	// AllocateNetworkInto call:
+	// MaxMin.Allocate call:
 	load []float64 // rate charged to the link by frozen flows
 	wsum []float64 // Σ weight of the unfrozen flows crossing the link
 	fill []float64 // max(0, (capacity-load)/wsum): the link's fill level
@@ -165,9 +160,9 @@ func (sc *AllocScratch) positions(m, size int) {
 	sc.tree = resize(sc.tree, 2*size)
 }
 
-// weights (re)sizes just the Weights slice and returns it. The
-// single-link fillers never read Frozen or Bottleneck, so they skip the
-// per-flow clear that flows performs for the network allocator.
+// weights (re)sizes just the Weights slice and returns it. WeightedShare
+// never reads Frozen or Bottleneck, so it skips the per-flow clear that
+// flows performs for MaxMin.
 func (sc *AllocScratch) weights(n int) []float64 {
 	sc.Weights = resize(sc.Weights, n)
 	return sc.Weights
@@ -187,18 +182,4 @@ func (sc *AllocScratch) flows(n int) {
 		sc.Frozen[i] = false
 		sc.Bottleneck[i] = -1
 	}
-}
-
-// Filler is the in-place fast path of Policy: fill rates (length =
-// len(active)) instead of allocating a fresh slice. Implementations must
-// write every element and must produce exactly the same values as their
-// Allocate method — the Sim treats the two as interchangeable.
-type Filler interface {
-	AllocateInto(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch)
-}
-
-// NetworkFiller is the in-place fast path of NetworkPolicy, under the
-// same exact-equivalence contract as Filler.
-type NetworkFiller interface {
-	AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch)
 }

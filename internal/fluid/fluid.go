@@ -1,7 +1,9 @@
 // Package fluid is a flow-level (fluid) simulator of periodic DNN jobs
-// sharing one bottleneck link. Instead of individual packets, each
-// communicating job receives an instantaneous rate from a pluggable sharing
-// policy; phases advance by integrating those rates over small intervals.
+// sharing one bottleneck link or a multi-link Network. Instead of
+// individual packets, each communicating job receives an instantaneous
+// rate from a pluggable sharing Policy; phases advance by integrating
+// those rates over small intervals. A single-link Sim allocates over a
+// one-link network, so every policy sees the same Allocate call.
 //
 // The weighted-share policy abstracts AIMD congestion control: with
 // synchronized loss and equal RTTs, a flow whose additive increase is
@@ -135,16 +137,16 @@ func (j *Job) AvgIterTime(skip int) sim.Time {
 
 // Config configures a fluid simulation.
 type Config struct {
-	// Capacity is the bottleneck link rate. Ignored when Network is set
-	// (each link then carries its own capacity).
+	// Capacity is the bottleneck link rate. Without a Network the Sim
+	// allocates over a one-link network of this capacity; ignored when
+	// Network is set (each link then carries its own capacity).
 	Capacity units.Rate
-	// Policy allocates the bottleneck among communicating jobs. When
-	// Network is set it must implement NetworkPolicy.
+	// Policy allocates link capacity among communicating jobs. MaxMin
+	// requires a Network, and a Network requires MaxMin.
 	Policy Policy
 	// Network, when non-nil, replaces the single bottleneck with a
 	// multi-link fabric: every job must carry a non-empty Path of link
-	// indices into Network.Capacities, and allocation goes through the
-	// policy's AllocateNetwork.
+	// indices into Network.Capacities, and the policy allocates over it.
 	Network *Network
 	// Step bounds how long allocated rates are held constant before the
 	// policy re-evaluates (default 1ms). Phase boundaries are handled
@@ -168,17 +170,14 @@ type Config struct {
 // wake-up among sleeping jobs is cached, and the per-step rate vector and
 // allocator scratch are reused — a steady-state step allocates nothing.
 type Sim struct {
-	cfg     Config
-	netpol  NetworkPolicy // non-nil iff cfg.Network is set
-	fill    Filler        // cfg.Policy's in-place fast path, if offered
-	ws      bool          // fill is the stateless WeightedShare: call it directly
-	netfill NetworkFiller // netpol's in-place fast path, if offered
-	jobs    []*Job
-	now     sim.Time
-	steps   uint64
+	cfg   Config
+	nw    *Network // cfg.Network, or one link of cfg.Capacity
+	jobs  []*Job
+	now   sim.Time
+	steps uint64
 
 	active  []*Job       // communicating jobs, ascending flow id
-	rates   []units.Rate // reused per-step allocation vector
+	rates   []units.Rate // reused per-step allocation vector, one per job
 	scratch AllocScratch // reused allocator working set
 	minWake sim.Time     // earliest wakeAt among idle/compute jobs (MaxTime if none)
 
@@ -203,24 +202,15 @@ func New(cfg Config, jobs []*Job) *Sim {
 	if len(jobs) == 0 {
 		panic("fluid: no jobs")
 	}
-	s := &Sim{cfg: cfg, jobs: jobs, minWake: sim.MaxTime}
-	if cfg.Network != nil {
-		np, ok := cfg.Policy.(NetworkPolicy)
-		if !ok {
-			panic(fmt.Sprintf("fluid: policy %s cannot allocate a multi-link network", cfg.Policy.Name()))
-		}
-		s.netpol = np
-		s.netfill, _ = cfg.Policy.(NetworkFiller)
-	} else {
-		s.fill, _ = cfg.Policy.(Filler)
-		// Devirtualize the dominant single-link case: WeightedShare (and
-		// MaxMin, whose single-link path is WeightedShare by definition)
-		// is stateless, so allocate can call it directly instead of
-		// through the interface.
-		switch cfg.Policy.(type) {
-		case WeightedShare, MaxMin:
-			s.ws = true
-		}
+	s := &Sim{cfg: cfg, nw: cfg.Network, jobs: jobs, minWake: sim.MaxTime}
+	_, maxmin := cfg.Policy.(MaxMin)
+	switch {
+	case cfg.Network != nil && !maxmin:
+		panic(fmt.Sprintf("fluid: policy %s cannot allocate a multi-link network", cfg.Policy.Name()))
+	case cfg.Network == nil && maxmin:
+		panic("fluid: policy maxmin needs a network")
+	case cfg.Network == nil:
+		s.nw = NewNetwork([]units.Rate{cfg.Capacity}, nil)
 	}
 	for i, j := range jobs {
 		if j.Spec.Profile.CommBytes <= 0 || j.Spec.Profile.ComputeTime < 0 {
@@ -361,30 +351,13 @@ func (s *Sim) Run(until sim.Time) {
 	s.now = until
 }
 
-// allocate fills the per-step rate vector, preferring the policy's
-// in-place fast path and falling back to the allocating interface.
+// allocate fills the per-step rate vector in place. The active set is a
+// subset of the jobs, so the vector New sized never grows.
 //
 //mltcp:hot
 func (s *Sim) allocate(active []*Job) []units.Rate {
-	if cap(s.rates) < len(active) {
-		s.rates = make([]units.Rate, len(active))
-	}
 	rates := s.rates[:len(active)]
-	switch {
-	case s.ws:
-		// Direct (devirtualized) call: WeightedShare is stateless and its
-		// in-place path produces the same values MaxMin's single-link
-		// Allocate delegates to, so both policies share this branch.
-		WeightedShare{}.AllocateInto(s.cfg.Capacity, active, rates, &s.scratch)
-	case s.netfill != nil:
-		s.netfill.AllocateNetworkInto(s.cfg.Network, active, rates, &s.scratch)
-	case s.netpol != nil:
-		return s.netpol.AllocateNetwork(s.cfg.Network, active)
-	case s.fill != nil:
-		s.fill.AllocateInto(s.cfg.Capacity, active, rates, &s.scratch)
-	default:
-		return s.cfg.Policy.Allocate(s.cfg.Capacity, active)
-	}
+	s.cfg.Policy.Allocate(s.nw, active, rates, &s.scratch)
 	return rates
 }
 

@@ -30,6 +30,18 @@ func runSim(t *testing.T, policy Policy, until sim.Time, jobs ...*Job) *Sim {
 	return s
 }
 
+// allocate runs one Allocate call with a fresh rate vector and scratch.
+func allocate(p Policy, nw *Network, active []*Job) []units.Rate {
+	rates := make([]units.Rate, len(active))
+	p.Allocate(nw, active, rates, &AllocScratch{})
+	return rates
+}
+
+// oneLink is the network a Sim without Config.Network allocates over.
+func oneLink(capacity units.Rate) *Network {
+	return NewNetwork([]units.Rate{capacity}, nil)
+}
+
 func nearTime(a, b, tol sim.Time) bool {
 	d := a - b
 	if d < 0 {
@@ -190,7 +202,7 @@ func TestPIASBandsDemote(t *testing.T) {
 	j2.attained = 0                       // band 0
 	j1.phase, j2.phase = phaseComm, phaseComm
 	j1.commRemaining, j2.commRemaining = 1e9, 1e9
-	rates := p.Allocate(cap50G, []*Job{j1, j2})
+	rates := allocate(p, oneLink(cap50G), []*Job{j1, j2})
 	if rates[0] != 0 || rates[1] != cap50G {
 		t.Errorf("rates = %v, want all capacity to band-0 job", rates)
 	}
@@ -204,7 +216,7 @@ func TestWeightedShareProportionality(t *testing.T) {
 	j1.commRemaining, j2.commRemaining = 1e9, 1e9
 	j1.attained = float64(workload.GPT2.CommBytes) // ratio 1 -> F=2
 	j2.attained = 0                                // ratio 0 -> F=0.25
-	rates := (WeightedShare{}).Allocate(cap50G, []*Job{j1, j2})
+	rates := allocate(WeightedShare{}, oneLink(cap50G), []*Job{j1, j2})
 	wantShare := 2.0 / 2.25
 	if got := float64(rates[0]) / float64(cap50G); !nearF(got, wantShare) {
 		t.Errorf("j1 share = %v, want %v", got, wantShare)

@@ -29,50 +29,25 @@ func NewNetwork(capacities []units.Rate, names []string) *Network {
 	return &Network{Capacities: capacities, Names: names}
 }
 
-// NetworkPolicy allocates a multi-link network among the communicating
-// jobs. Implementations must return one rate per active job such that on
-// every link the allocated rates sum to at most its capacity.
-type NetworkPolicy interface {
-	Policy
-	// AllocateNetwork returns the instantaneous rate for each active job,
-	// respecting every link capacity along each job's Path.
-	AllocateNetwork(nw *Network, active []*Job) []units.Rate
-}
-
 // MaxMin is the weighted max-min allocator: progressive filling
 // (water-filling) where each flow's level rises in proportion to its
 // Weight() until some link on its path saturates. On a single shared
 // link this reduces bit-for-bit to WeightedShare — every flow's one
 // bottleneck is that link and its rate is capacity·w/Σw computed by the
 // same expression — which is what keeps the legacy dumbbell golden
-// traces byte-identical under the new allocator.
+// traces byte-identical under the new allocator. It reads job paths, so
+// a Sim accepts it only with a Config.Network.
 type MaxMin struct{}
 
 // Name implements Policy.
 func (MaxMin) Name() string { return "maxmin" }
 
-// Allocate implements Policy (the single-link degenerate case): every
-// active job implicitly crosses the one bottleneck, so weighted max-min
-// is exactly the weighted share.
-func (MaxMin) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	return WeightedShare{}.Allocate(capacity, active)
-}
-
-// AllocateNetwork implements NetworkPolicy by progressive filling; it is
-// the allocating wrapper around AllocateNetworkInto.
-func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
-	var sc AllocScratch
-	p.AllocateNetworkInto(nw, active, rates, &sc)
-	return rates
-}
-
-// AllocateNetworkInto implements NetworkFiller by progressive filling.
-// Each round finds the link that saturates first — the minimum of
-// headroom/Σweights over links still carrying unfrozen flows — freezes
-// every unfrozen flow crossing it at its weighted share of the
-// remaining headroom, and charges those rates to every link on the
-// frozen flows' paths. Ties break toward the lowest link index, so the
+// Allocate implements Policy by progressive filling; every active job
+// must carry a Path into nw. Each round finds the link that saturates
+// first — the minimum of headroom/Σweights over links still carrying
+// unfrozen flows — freezes every unfrozen flow crossing it at its
+// weighted share of the remaining headroom, and charges those rates to
+// every link on the frozen flows' paths. Ties break toward the lowest link index, so the
 // allocation is a pure function of (network, active jobs).
 //
 // The work tracks what changed. The link→flow incidence is cached in
@@ -92,7 +67,7 @@ func (p MaxMin) AllocateNetwork(nw *Network, active []*Job) []units.Rate {
 // sc.Bottleneck.
 //
 //mltcp:hot
-func (MaxMin) AllocateNetworkInto(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
+func (MaxMin) Allocate(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
 	n := len(active)
 	for i := range rates {
 		rates[i] = 0

@@ -130,14 +130,14 @@ func TestMaxMinRandomTopologies(t *testing.T) {
 			w := 0.25 + rng.Float64()*1.75 // the paper's F range
 			jobs[i] = netJob(names[i], w, perm[:pl])
 		}
-		rates := MaxMin{}.AllocateNetwork(nw, jobs)
+		rates := allocate(MaxMin{}, nw, jobs)
 		checkInvariants(t, nw, jobs, rates)
 	}
 }
 
 // TestMaxMinSingleLinkBitIdentical pins the degenerate case the golden
-// traces rely on: over one link, AllocateNetwork and Allocate both
-// reproduce WeightedShare bit for bit, for arbitrary weights.
+// traces rely on: over one link, MaxMin reproduces WeightedShare bit for
+// bit, for arbitrary weights.
 func TestMaxMinSingleLinkBitIdentical(t *testing.T) {
 	for seed := uint64(0); seed < 32; seed++ {
 		rng := sim.NewRNGAt(7, seed)
@@ -150,13 +150,10 @@ func TestMaxMinSingleLinkBitIdentical(t *testing.T) {
 			netJobs[i] = netJob("s", w, []int{0})
 		}
 		cap := units.Rate((1 + rng.Float64()*99) * float64(units.Gbps))
-		want := WeightedShare{}.Allocate(cap, jobs)
-		if got := (MaxMin{}).Allocate(cap, jobs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: MaxMin.Allocate diverged from WeightedShare", seed)
-		}
 		nw := NewNetwork([]units.Rate{cap}, []string{"bottleneck"})
-		if got := (MaxMin{}).AllocateNetwork(nw, netJobs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: AllocateNetwork over one link diverged from WeightedShare", seed)
+		want := allocate(WeightedShare{}, nw, jobs)
+		if got := allocate(MaxMin{}, nw, netJobs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: MaxMin over one link diverged from WeightedShare", seed)
 		}
 	}
 }
@@ -171,7 +168,7 @@ func TestMaxMinParkingLot(t *testing.T) {
 		netJob("s0", 1, []int{0}),
 		netJob("s1", 1, []int{1}),
 	}
-	rates := MaxMin{}.AllocateNetwork(nw, jobs)
+	rates := allocate(MaxMin{}, nw, jobs)
 	checkInvariants(t, nw, jobs, rates)
 	for i, want := range []float64{0.5e9, 0.5e9, 0.5e9} {
 		if got := float64(rates[i]); math.Abs(got-want) > relTol*want {
@@ -189,7 +186,7 @@ func TestMaxMinMultiBottleneck(t *testing.T) {
 		netJob("long", 1, []int{0, 1}),
 		netJob("local", 1, []int{1}),
 	}
-	rates := MaxMin{}.AllocateNetwork(nw, jobs)
+	rates := allocate(MaxMin{}, nw, jobs)
 	checkInvariants(t, nw, jobs, rates)
 	if got, want := float64(rates[0]), 1e9; math.Abs(got-want) > relTol*want {
 		t.Errorf("long flow: rate %g, want %g", got, want)
@@ -208,7 +205,7 @@ func TestMaxMinWeightScaling(t *testing.T) {
 		netJob("w2", 2, []int{0}),
 		netJob("w1", 1, []int{0}),
 	}
-	rates := MaxMin{}.AllocateNetwork(nw, jobs)
+	rates := allocate(MaxMin{}, nw, jobs)
 	checkInvariants(t, nw, jobs, rates)
 	if float64(rates[0]) != 2*float64(rates[1]) { //lint:allow simunits 2× proportionality is exact in binary floating point for the shared-denominator expression
 		t.Errorf("rates %v, %v: want exact 2:1 split", rates[0], rates[1])
@@ -269,6 +266,9 @@ func TestSimNetworkValidation(t *testing.T) {
 	})
 	mustPanic("bad link index", func() {
 		New(Config{Network: nw, Policy: MaxMin{}}, []*Job{netJob("x", 1, []int{3})})
+	})
+	mustPanic("max-min without a network", func() {
+		New(Config{Capacity: units.Rate(1e9), Policy: MaxMin{}}, []*Job{netJob("x", 1, []int{0})})
 	})
 }
 
@@ -582,7 +582,7 @@ func runDifferential(t *testing.T, src *diffSource) {
 		want = want[:len(active)]
 		var ref refScratch
 		refMaxMin(fab.nw, active, want, &ref)
-		MaxMin{}.AllocateNetworkInto(fab.nw, active, rates, &sc)
+		MaxMin{}.Allocate(fab.nw, active, rates, &sc)
 		for i := range active {
 			if math.Float64bits(float64(rates[i])) != math.Float64bits(float64(want[i])) ||
 				sc.Bottleneck[i] != ref.Bottleneck[i] {
@@ -612,26 +612,42 @@ func FuzzMaxMinDifferential(f *testing.F) {
 	})
 }
 
-// TestMaxMinAllocFree pins the allocation budget: zero allocations per
-// call, on an unchanged active set and on one that churns every call
-// once the scratch has grown.
-func TestMaxMinAllocFree(t *testing.T) {
-	nw, jobs := fatTreeSnapshot()
-	var sc AllocScratch
-	rates := make([]units.Rate, len(jobs))
-	if got := testing.AllocsPerRun(100, func() {
-		MaxMin{}.AllocateNetworkInto(nw, jobs, rates, &sc)
-	}); got != 0 {
-		t.Errorf("unchanged active set: %v allocs per call, want 0", got)
-	}
-	a, b := jobs[:len(jobs)-1], jobs[1:]
-	churn := func() {
-		MaxMin{}.AllocateNetworkInto(nw, a, rates[:len(a)], &sc)
-		MaxMin{}.AllocateNetworkInto(nw, b, rates[:len(b)], &sc)
-	}
-	churn()
-	if got := testing.AllocsPerRun(100, churn); got != 0 {
-		t.Errorf("churned active set: %v allocs per call pair, want 0", got)
+// TestPolicyAllocFree pins the allocation budget of every policy: zero
+// allocations per Allocate call, on an unchanged active set and on one
+// that churns every call once the scratch has grown. MaxMin runs on the
+// fat-tree snapshot; the single-link policies run the snapshot's jobs on
+// one link, as a Sim without a Network would.
+func TestPolicyAllocFree(t *testing.T) {
+	fabric, jobs := fatTreeSnapshot()
+	link := oneLink(100 * units.Gbps)
+	for _, c := range []struct {
+		p  Policy
+		nw *Network
+	}{
+		{WeightedShare{}, link},
+		{SRPT{}, link},
+		{LAS{}, link},
+		{PIAS{Thresholds: []int64{int64(100 * units.MB), int64(1000 * units.MB)}}, link},
+		{MaxMin{}, fabric},
+	} {
+		t.Run(c.p.Name(), func(t *testing.T) {
+			var sc AllocScratch
+			rates := make([]units.Rate, len(jobs))
+			if got := testing.AllocsPerRun(100, func() {
+				c.p.Allocate(c.nw, jobs, rates, &sc)
+			}); got != 0 {
+				t.Errorf("unchanged active set: %v allocs per call, want 0", got)
+			}
+			a, b := jobs[:len(jobs)-1], jobs[1:]
+			churn := func() {
+				c.p.Allocate(c.nw, a, rates[:len(a)], &sc)
+				c.p.Allocate(c.nw, b, rates[:len(b)], &sc)
+			}
+			churn()
+			if got := testing.AllocsPerRun(100, churn); got != 0 {
+				t.Errorf("churned active set: %v allocs per call pair, want 0", got)
+			}
+		})
 	}
 }
 
@@ -668,6 +684,6 @@ func BenchmarkMaxMinFatTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxMin{}.AllocateNetworkInto(nw, jobs, rates, &sc)
+		MaxMin{}.Allocate(nw, jobs, rates, &sc)
 	}
 }

@@ -4,14 +4,18 @@ import (
 	"mltcp/internal/units"
 )
 
-// Policy allocates the bottleneck capacity among the currently
-// communicating jobs. Implementations must return one rate per active job,
-// summing to at most the capacity.
+// Policy allocates link capacity among the currently communicating jobs.
+// Allocate writes one rate per active job into rates (len(rates) ==
+// len(active)), every element, so that on every link of nw the jobs
+// crossing it get at most its capacity in total. Single-link policies
+// share nw.Capacities[0]: a Sim without a Config.Network hands them a
+// one-link network. sc is the caller's reusable working set; a policy
+// that keeps nothing in it may ignore it.
 type Policy interface {
 	// Name labels the policy in traces and figure legends.
 	Name() string
-	// Allocate returns the instantaneous rate for each active job.
-	Allocate(capacity units.Rate, active []*Job) []units.Rate
+	// Allocate fills rates with the instantaneous rate of each active job.
+	Allocate(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch)
 }
 
 // WeightedShare divides capacity in proportion to each job's Weight():
@@ -23,21 +27,14 @@ type WeightedShare struct{}
 // Name implements Policy.
 func (WeightedShare) Name() string { return "weighted-share" }
 
-// Allocate implements Policy.
-func (p WeightedShare) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
-	var sc AllocScratch
-	p.AllocateInto(capacity, active, rates, &sc)
-	return rates
-}
-
-// AllocateInto implements Filler. Each job's weight is evaluated once and
+// Allocate implements Policy. Each job's weight is evaluated once and
 // cached in the scratch — Weight() is a pure function of state that does
 // not change within one allocation, so the cached value is bit-identical
 // to re-evaluating it in the second loop.
 //
 //mltcp:hot
-func (WeightedShare) AllocateInto(capacity units.Rate, active []*Job, rates []units.Rate, sc *AllocScratch) {
+func (WeightedShare) Allocate(nw *Network, active []*Job, rates []units.Rate, sc *AllocScratch) {
+	capacity := nw.Capacities[0]
 	weights := sc.weights(len(active))
 	var sum float64
 	for i, j := range active {
@@ -78,10 +75,11 @@ func (p SRPT) Name() string {
 // pFabric, the first packet served lowers that flow's remaining size below
 // its peers', so equal flows serialize rather than share; an equal split
 // would pin them to an unstable knife-edge forever.
-func (SRPT) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
+//
+//mltcp:hot
+func (SRPT) Allocate(nw *Network, active []*Job, rates []units.Rate, _ *AllocScratch) {
 	if len(active) == 0 {
-		return rates
+		return
 	}
 	win := 0
 	for i, j := range active[1:] {
@@ -89,8 +87,10 @@ func (SRPT) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 			win = i + 1
 		}
 	}
-	rates[win] = capacity
-	return rates
+	for i := range rates {
+		rates[i] = 0
+	}
+	rates[win] = nw.Capacities[0]
 }
 
 func better(a, b *Job) bool {
@@ -107,11 +107,13 @@ type LAS struct{}
 // Name implements Policy.
 func (LAS) Name() string { return "las" }
 
-// Allocate implements Policy.
-func (LAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
+// Allocate implements Policy. The winners are the jobs within one byte
+// of the least attained service; each gets capacity/count.
+//
+//mltcp:hot
+func (LAS) Allocate(nw *Network, active []*Job, rates []units.Rate, _ *AllocScratch) {
 	if len(active) == 0 {
-		return rates
+		return
 	}
 	best := active[0].Attained()
 	for _, j := range active[1:] {
@@ -119,16 +121,19 @@ func (LAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 			best = a
 		}
 	}
-	var winners []int
-	for i, j := range active {
+	count := 0
+	for _, j := range active {
 		if j.Attained() <= best+1 {
-			winners = append(winners, i)
+			count++
 		}
 	}
-	for _, i := range winners {
-		rates[i] = units.Rate(float64(capacity) / float64(len(winners)))
+	share := units.Rate(float64(nw.Capacities[0]) / float64(count))
+	for i, j := range active {
+		rates[i] = 0
+		if j.Attained() <= best+1 {
+			rates[i] = share
+		}
 	}
-	return rates
 }
 
 // PIAS approximates LAS with a few byte thresholds, as the real system does
@@ -153,11 +158,13 @@ func (p PIAS) band(j *Job) int {
 	return b
 }
 
-// Allocate implements Policy.
-func (p PIAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
-	rates := make([]units.Rate, len(active))
+// Allocate implements Policy. The winners are the jobs in the lowest
+// band; each gets capacity/count.
+//
+//mltcp:hot
+func (p PIAS) Allocate(nw *Network, active []*Job, rates []units.Rate, _ *AllocScratch) {
 	if len(active) == 0 {
-		return rates
+		return
 	}
 	best := p.band(active[0])
 	for _, j := range active[1:] {
@@ -165,14 +172,17 @@ func (p PIAS) Allocate(capacity units.Rate, active []*Job) []units.Rate {
 			best = b
 		}
 	}
-	var winners []int
-	for i, j := range active {
+	count := 0
+	for _, j := range active {
 		if p.band(j) == best {
-			winners = append(winners, i)
+			count++
 		}
 	}
-	for _, i := range winners {
-		rates[i] = units.Rate(float64(capacity) / float64(len(winners)))
+	share := units.Rate(float64(nw.Capacities[0]) / float64(count))
+	for i, j := range active {
+		rates[i] = 0
+		if p.band(j) == best {
+			rates[i] = share
+		}
 	}
-	return rates
 }

@@ -45,11 +45,6 @@ func TestRegistryNameFixture(t *testing.T) {
 		"testdata/registryname/fixture.go")
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	linttest.Run(t, lint.HotAlloc, "mltcp/internal/sim",
-		"testdata/hotalloc/fixture.go")
-}
-
 // The interprocedural fixtures are multi-package: earlier fixture
 // packages are summarized into the shared fact store and imported by the
 // later ones, so every finding below a package boundary is reached
@@ -83,59 +78,6 @@ func TestClockFactFixture(t *testing.T) {
 		linttest.PkgFixture{Path: "mltcp/internal/lint/clockdep", Files: []string{"testdata/clockfact/clockdep.go"}},
 		linttest.PkgFixture{Path: "mltcp/internal/lint/consumer", Files: []string{"testdata/clockfact/consumer.go"}},
 	)
-}
-
-// TestHotCallSupersetOfHotAlloc pins the retirement contract: over the
-// retired analyzer's own fixture, hotcall must report every finding
-// hotalloc reports — same position, same message — so dropping hotalloc
-// from the roster loses nothing.
-func TestHotCallSupersetOfHotAlloc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads export data via go list")
-	}
-	exp, err := lint.Exports("", "fmt")
-	if err != nil {
-		t.Fatalf("loading export data: %v", err)
-	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "testdata/hotalloc/fixture.go", nil, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parsing fixture: %v", err)
-	}
-	files := []*ast.File{f}
-	pkg, info, soft, err := lint.Check(fset, lint.ExportImporter(fset, exp), "mltcp/internal/sim", files)
-	if err != nil {
-		t.Fatalf("type-checking fixture: %v", err)
-	}
-	if len(soft) > 0 {
-		t.Fatalf("fixture type errors: %v", soft)
-	}
-	store := lint.NewFactStore()
-	lint.Summarize(fset, files, pkg, info, store)
-
-	run := func(a *lint.Analyzer) map[string]bool {
-		diags, err := lint.AnalyzeFacts(fset, files, pkg, info, []*lint.Analyzer{a}, store)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		set := make(map[string]bool)
-		for _, d := range diags {
-			if d.Analyzer == a.Name {
-				set[d.Pos.String()+": "+d.Message] = true
-			}
-		}
-		return set
-	}
-	old := run(lint.HotAlloc)
-	now := run(lint.HotCall)
-	if len(old) == 0 {
-		t.Fatal("hotalloc reported nothing on its own fixture; superset check is vacuous")
-	}
-	for finding := range old {
-		if !now[finding] {
-			t.Errorf("hotalloc finding missing from hotcall: %s", finding)
-		}
-	}
 }
 
 // TestHotCallFlagsRetiredMarker covers the one lookalike a fixture file
@@ -183,12 +125,9 @@ func TestScoping(t *testing.T) {
 		{lint.TelemetryEmit, "mltcp/internal/backend", true},
 		{lint.RegistryName, "mltcp/cmd/mltcp-trace", true},
 		{lint.RegistryName, "mltcp/internal/backend", false},
-		{lint.HotAlloc, "mltcp/internal/sim", true},
-		{lint.HotAlloc, "mltcp/internal/netsim", true},
-		{lint.HotAlloc, "mltcp/internal/tcp", false},
-		{lint.HotAlloc, "mltcp/internal/backend", false},
 		{lint.HotCall, "mltcp/internal/sim", true},
 		{lint.HotCall, "mltcp/internal/netsim", true},
+		{lint.HotCall, "mltcp/internal/tcp", false},
 		{lint.HotCall, "mltcp/internal/backend", false},
 	}
 	for _, c := range cases {

@@ -185,7 +185,7 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 // sites, RNG constructions, and return expressions.
 func collectLocal(fset *token.FileSet, info *types.Info, supp suppressFn, ds *declState) {
 	forEachAllocSite(info, ds.fd.Body, func(s allocSite) {
-		if !supp(s.pos, HotCall.Name, HotAlloc.Name) {
+		if !supp(s.pos, HotCall.Name) {
 			ds.localAllocs = append(ds.localAllocs, s)
 		}
 	})
@@ -294,7 +294,7 @@ func computeFact(fset *token.FileSet, info *types.Info, supp suppressFn,
 			continue
 		}
 		cf := lookup(c.fn)
-		if !ds.panics && cf.Flags.Has(FactAllocates) && !supp(c.call.Pos(), HotCall.Name, HotAlloc.Name) {
+		if !ds.panics && cf.Flags.Has(FactAllocates) && !supp(c.call.Pos(), HotCall.Name) {
 			alloc = pick(alloc, c.call.Pos(), transWhy(c.fn, cf.AllocWhy))
 		}
 		if cf.Flags.Has(FactUsesWallClock) && !supp(c.call.Pos(), SimDeterminism.Name) {

@@ -3,7 +3,49 @@
 // fixture package so cross-package facts are exercised.
 package fixture
 
-import "mltcp/internal/lint/helper"
+import (
+	"fmt"
+
+	"mltcp/internal/lint/helper"
+)
+
+type handler interface{ handle() }
+
+type box struct{ n int }
+
+func (box) handle() {}
+
+func takes(h handler) {}
+
+//mltcp:hot
+func hotClosure(n int) func() int {
+	f := func() int { return n } // want "closure literal in //mltcp:hot function hotClosure"
+	return f
+}
+
+//mltcp:hot
+func hotBoxing(h handler, v box) {
+	takes(v)           // want "value of type .*box passed to interface parameter in //mltcp:hot function hotBoxing"
+	takes(h)           // already an interface: no boxing
+	takes(&v)          // pointer-shaped: converts without allocating
+	fmt.Println(v.n)   // want "value of type int passed to interface parameter in //mltcp:hot function hotBoxing"
+	_ = handler(v)     // want "conversion of .*box to interface .*handler in //mltcp:hot function hotBoxing"
+	_ = handler(&v)    // pointer conversion: free
+	_ = []handler{nil} // nil needs no boxing
+	takes(nil)         // nil needs no boxing
+}
+
+//mltcp:hot
+func hotJustified(v box) {
+	takes(v) //lint:allow hotcall fixture: justified cold-path boxing
+}
+
+// coldFn has no //mltcp:hot marker: the same shapes pass untouched.
+func coldFn() {
+	_ = func() int { return 1 }
+	takes(box{})
+	fmt.Println(3)
+}
 
 func localSink(x any) {}
 
