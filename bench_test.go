@@ -348,10 +348,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkEngineScheduling exercises the timer wheel's hot operations —
-// reschedule (the RTO/pacing pattern), schedule+cancel churn, and
-// cascade-heavy far-future spreads. All must stay at 0 allocs/op: the
-// engine's free list is the foundation of the hot-path alloc budget.
+// BenchmarkEngineScheduling exercises the event heap's hot operations —
+// reschedule (the RTO/pacing pattern), schedule+cancel churn, and a
+// far-future spread ("cascade", named for the timer wheel the heap
+// replaced). All must stay at 0 allocs/op: the engine's free list is the
+// foundation of the hot-path alloc budget.
 func BenchmarkEngineScheduling(b *testing.B) {
 	b.Run("reschedule", func(b *testing.B) {
 		e := sim.New()

@@ -2,16 +2,15 @@ package sim
 
 import "testing"
 
-// Micro-benchmarks for the timer-wheel engine's hot operations. Run with
+// Micro-benchmarks for the event-queue engine's hot operations. Run with
 //
 //	go test -bench=Engine -benchmem ./internal/sim
 //
 // Steady-state schedule/cancel/reschedule must report 0 allocs/op: the
 // free list absorbs all event traffic once warmed.
 
-// BenchmarkEngineScheduleDrain measures the schedule-then-fire cycle at
-// several batch sizes: events land in nearby level-0/1 slots and drain in
-// order, the dominant pattern on the packet path.
+// BenchmarkEngineScheduleDrain measures the schedule-then-fire cycle for a
+// batch of 64 events 17 ns apart that drain in order.
 func BenchmarkEngineScheduleDrain(b *testing.B) {
 	e := New()
 	fn := Handler(func(*Engine) {})
@@ -56,9 +55,11 @@ func BenchmarkEngineReschedule(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineCascade spreads events across the full wheel span so
-// every pop pays cascading costs — the worst case for the wheel and the
-// best case for the old binary heap.
+// BenchmarkEngineCascade is the far-spread case: 256 events scattered
+// over 2^44 ns (~4.9 simulated hours), so nearly every entry lands far
+// from its neighbours. The name dates from the hierarchical timer wheel
+// the heap replaced, where this spread made every pop cascade events
+// down its levels.
 func BenchmarkEngineCascade(b *testing.B) {
 	e := New()
 	fn := Handler(func(*Engine) {})
@@ -102,8 +103,8 @@ type selfScheduler struct{ fire Handler }
 func (s *selfScheduler) HandleEvent(e *Engine) { s.fire(e) }
 
 // BenchmarkEngineMixedHorizon mixes short, medium, and far-future events
-// including the overflow tier, approximating a full simulation's spread
-// of RTOs, pacing ticks, and iteration deadlines.
+// (up to 2^50 ns ahead), approximating a full simulation's spread of
+// RTOs, pacing ticks, and iteration deadlines.
 func BenchmarkEngineMixedHorizon(b *testing.B) {
 	e := New()
 	fn := Handler(func(*Engine) {})
@@ -118,4 +119,43 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 		}
 		e.Run()
 	}
+}
+
+// packetDepth is the queue depth a packet-level run holds: perfbench
+// reports sim.max_pending = 13 on packet-dumbbell.
+const packetDepth = 13
+
+// BenchmarkEnginePacketDepth runs the engine at packet depth: packetDepth
+// pre-bound handlers (link deliveries, pacing ticks) re-arm themselves at
+// distinct µs-scale delays, and every fire re-arms one shared RTO timer,
+// so each op is one pop, one cancel and two schedules on a queue of
+// packetDepth+1 events.
+func BenchmarkEnginePacketDepth(b *testing.B) {
+	e := New()
+	rto := NewTimer(e, func(*Engine) {})
+	var hs [packetDepth]rearmer
+	n := 0
+	for k := range hs {
+		hs[k] = rearmer{delay: Time(k+1)*700*Nanosecond + Microsecond, n: &n, stop: b.N, rto: rto}
+		e.AtHandler(Time(k)*100, &hs[k])
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+type rearmer struct {
+	delay Time
+	n     *int
+	stop  int
+	rto   *Timer
+}
+
+func (r *rearmer) HandleEvent(e *Engine) {
+	*r.n++
+	if *r.n >= r.stop {
+		r.rto.Stop()
+		return
+	}
+	r.rto.Reset(Millisecond)
+	e.AfterHandler(r.delay, r)
 }

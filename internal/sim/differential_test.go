@@ -1,10 +1,11 @@
 package sim
 
-// Differential testing of the timer-wheel engine against the legacy
-// container/heap engine it replaced. The two implementations are driven
-// in lockstep through randomized schedule/cancel/step/run-until op
-// streams; they must agree on the execution order of every event (the
-// (at, seq) FIFO contract), on Now, and on Pending() after every step.
+// Differential testing of the engine's inline-key event heap against a
+// frozen container/heap engine. The two implementations are driven in
+// lockstep through randomized schedule/cancel/step/run-until op streams;
+// they must agree on the execution order of every event (the (at, seq)
+// FIFO contract), on Now, and on Pending() after every step, and the
+// engine's queue must satisfy checkQueue after every operation.
 
 import (
 	"container/heap"
@@ -12,9 +13,9 @@ import (
 	"testing"
 )
 
-// legacyEngine is a frozen copy of the pre-wheel binary-heap engine. It
-// exists only as the differential-test oracle; production code uses
-// Engine.
+// legacyEngine is a frozen copy of the original container/heap engine,
+// with tombstoned cancels and pointer-keyed entries. It exists only as
+// the differential-test oracle; production code uses Engine.
 type legacyEngine struct {
 	now     Time
 	seq     uint64
@@ -119,26 +120,26 @@ func (e *legacyEngine) Step() bool {
 	return false
 }
 
-// diffHarness drives the wheel and legacy engines in lockstep and checks
-// every observable after every operation.
+// diffHarness drives the engine and the legacy oracle in lockstep and
+// checks every observable after every operation.
 type diffHarness struct {
 	t      *testing.T
-	wheel  *Engine
+	eng    *Engine
 	legacy *legacyEngine
 
-	wheelLog  []int
+	engLog    []int
 	legacyLog []int
 
 	// Parallel outstanding-event tables: index i in both slices is the
 	// same logical event.
-	wheelIDs  []EventID
+	engIDs    []EventID
 	legacyIDs []*legacyEvent
 
 	nextLabel int
 }
 
 func newDiffHarness(t *testing.T) *diffHarness {
-	return &diffHarness{t: t, wheel: New(), legacy: &legacyEngine{}}
+	return &diffHarness{t: t, eng: New(), legacy: &legacyEngine{}}
 }
 
 // schedule registers the same event (delay, optional self-respawn budget)
@@ -150,14 +151,14 @@ func (h *diffHarness) schedule(delay Time, respawn int, respawnDelay Time) {
 	// Each engine gets its own respawn budget: a shared captured counter
 	// would be decremented by whichever engine steps first and desync the
 	// other.
-	wRespawn, lRespawn := respawn, respawn
-	var wfn func(*Engine)
+	eRespawn, lRespawn := respawn, respawn
+	var efn func(*Engine)
 	var lfn func(*legacyEngine)
-	wfn = func(e *Engine) {
-		h.wheelLog = append(h.wheelLog, label)
-		if wRespawn > 0 {
-			wRespawn--
-			e.After(respawnDelay, wfn)
+	efn = func(e *Engine) {
+		h.engLog = append(h.engLog, label)
+		if eRespawn > 0 {
+			eRespawn--
+			e.After(respawnDelay, efn)
 		}
 	}
 	lfn = func(e *legacyEngine) {
@@ -167,35 +168,35 @@ func (h *diffHarness) schedule(delay Time, respawn int, respawnDelay Time) {
 			e.At(e.now+respawnDelay, lfn)
 		}
 	}
-	h.wheelIDs = append(h.wheelIDs, h.wheel.After(delay, wfn))
+	h.engIDs = append(h.engIDs, h.eng.After(delay, efn))
 	h.legacyIDs = append(h.legacyIDs, h.legacy.At(h.legacy.Now()+delay, lfn))
 }
 
 func (h *diffHarness) cancel(i int) {
-	if len(h.wheelIDs) == 0 {
+	if len(h.engIDs) == 0 {
 		return
 	}
-	i %= len(h.wheelIDs)
-	wg := h.wheel.Cancel(h.wheelIDs[i])
+	i %= len(h.engIDs)
+	eg := h.eng.Cancel(h.engIDs[i])
 	lg := h.legacy.Cancel(h.legacyIDs[i])
-	if wg != lg {
-		h.t.Fatalf("Cancel(#%d): wheel=%v legacy=%v", i, wg, lg)
+	if eg != lg {
+		h.t.Fatalf("Cancel(#%d): engine=%v legacy=%v", i, eg, lg)
 	}
 	h.check("cancel")
 }
 
 func (h *diffHarness) step() {
-	wg := h.wheel.Step()
+	eg := h.eng.Step()
 	lg := h.legacy.Step()
-	if wg != lg {
-		h.t.Fatalf("Step: wheel=%v legacy=%v", wg, lg)
+	if eg != lg {
+		h.t.Fatalf("Step: engine=%v legacy=%v", eg, lg)
 	}
 	h.check("step")
 }
 
 func (h *diffHarness) runUntil(delta Time) {
-	deadline := h.wheel.Now() + delta
-	h.wheel.RunUntil(deadline)
+	deadline := h.eng.Now() + delta
+	h.eng.RunUntil(deadline)
 	h.legacy.RunUntil(deadline)
 	h.check("runUntil")
 }
@@ -203,58 +204,92 @@ func (h *diffHarness) runUntil(delta Time) {
 func (h *diffHarness) drain() {
 	// Drain via single steps so Pending is compared at every event
 	// boundary, then confirm both report empty.
-	for h.wheel.Step() {
+	for h.eng.Step() {
 		if !h.legacy.Step() {
-			h.t.Fatal("legacy drained before wheel")
+			h.t.Fatal("legacy drained before engine")
 		}
 		h.check("drain")
 	}
 	if h.legacy.Step() {
-		h.t.Fatal("wheel drained before legacy")
+		h.t.Fatal("engine drained before legacy")
 	}
 	h.check("drained")
 }
 
 func (h *diffHarness) check(op string) {
 	h.t.Helper()
-	if h.wheel.Now() != h.legacy.Now() {
-		h.t.Fatalf("%s: Now diverged: wheel=%v legacy=%v", op, h.wheel.Now(), h.legacy.Now())
+	if h.eng.Now() != h.legacy.Now() {
+		h.t.Fatalf("%s: Now diverged: engine=%v legacy=%v", op, h.eng.Now(), h.legacy.Now())
 	}
-	if h.wheel.Pending() != h.legacy.Pending() {
-		h.t.Fatalf("%s: Pending diverged: wheel=%d legacy=%d", op, h.wheel.Pending(), h.legacy.Pending())
+	if h.eng.Pending() != h.legacy.Pending() {
+		h.t.Fatalf("%s: Pending diverged: engine=%d legacy=%d", op, h.eng.Pending(), h.legacy.Pending())
 	}
-	if len(h.wheelLog) != len(h.legacyLog) {
-		h.t.Fatalf("%s: fired %d (wheel) vs %d (legacy) events", op, len(h.wheelLog), len(h.legacyLog))
+	if len(h.engLog) != len(h.legacyLog) {
+		h.t.Fatalf("%s: fired %d (engine) vs %d (legacy) events", op, len(h.engLog), len(h.legacyLog))
 	}
-	for i := range h.wheelLog {
-		if h.wheelLog[i] != h.legacyLog[i] {
-			h.t.Fatalf("%s: execution order diverged at %d: wheel=%v legacy=%v",
-				op, i, h.wheelLog[i], h.legacyLog[i])
+	for i := range h.engLog {
+		if h.engLog[i] != h.legacyLog[i] {
+			h.t.Fatalf("%s: execution order diverged at %d: engine=%v legacy=%v",
+				op, i, h.engLog[i], h.legacyLog[i])
 		}
+	}
+	if err := checkQueue(h.eng); err != nil {
+		h.t.Fatalf("%s: %v", op, err)
 	}
 }
 
-// delayFor maps a raw random value onto a delay distribution that
-// exercises every wheel level and the overflow tier: exact duplicates
-// (FIFO ties), sub-slot, per-level spans, and beyond-horizon times.
+// checkQueue verifies the engine's heap invariants: every entry fires no
+// earlier, on (at, seq), than its parent; every queued event's back-index
+// names its own slot; and no queued event sits on the free list. Free
+// events carry index -1 and queued ones their slot, so checking both
+// lists' indices proves them disjoint without a set.
+func checkQueue(e *Engine) error {
+	var n uint64
+	for ev := e.free; ev != nil; ev = ev.next {
+		if ev.idx != -1 {
+			return fmt.Errorf("free event has queue index %d", ev.idx)
+		}
+		// Each pooled event was allocated by some schedule call, so a
+		// longer free list must contain a cycle.
+		if n++; n > e.seq {
+			return fmt.Errorf("free list longer than the %d events ever scheduled", e.seq)
+		}
+	}
+	for i, x := range e.q {
+		if p := (i - 1) / 2; i > 0 && x.before(e.q[p]) {
+			return fmt.Errorf("q[%d] (at=%v seq=%d) fires before its parent q[%d] (at=%v seq=%d)",
+				i, x.at, x.seq, p, e.q[p].at, e.q[p].seq)
+		}
+		if int(x.ev.idx) != i {
+			return fmt.Errorf("q[%d].ev.idx = %d", i, x.ev.idx)
+		}
+	}
+	return nil
+}
+
+// delayFor maps a raw random value onto a delay distribution spanning
+// eight orders of magnitude: exact duplicates (FIFO ties), spans of 2^8
+// through 2^47 ns, and times beyond 2^48 ns (the horizon where a timer
+// wheel would hand off to an overflow tier). Mixing near and far entries
+// makes removals sift both up and down the full heap depth.
 func delayFor(r *RNG) Time {
 	switch r.Intn(8) {
 	case 0:
 		return 0 // same-instant FIFO ties
 	case 1:
-		return Time(r.Intn(256)) // level 0
+		return Time(r.Intn(256))
 	case 2:
-		return Time(r.Intn(1 << 16)) // level 1
+		return Time(r.Intn(1 << 16))
 	case 3:
-		return Time(r.Intn(1 << 24)) // level 2
+		return Time(r.Intn(1 << 24))
 	case 4:
-		return Time(r.Intn(1 << 32)) // level 3
+		return Time(r.Intn(1 << 32))
 	case 5:
-		return Time(r.Intn(1 << 40)) // level 4
+		return Time(r.Intn(1 << 40))
 	case 6:
-		return Time(r.Intn(1 << 47)) // level 5
+		return Time(r.Intn(1 << 47))
 	default:
-		return Time(1)<<48 + Time(r.Intn(1<<50)) // overflow tier
+		return Time(1)<<48 + Time(r.Intn(1<<50)) // far future
 	}
 }
 
@@ -293,7 +328,7 @@ func TestDifferentialRandomSchedules(t *testing.T) {
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42, 0x83, 0xc4, 0x05, 0x46, 0x87, 0xff})
 	f.Add([]byte{0x10, 0x10, 0x10, 0x50, 0x90, 0xd0})       // same-time ties, cancel, step, run
-	f.Add([]byte{0x07, 0x17, 0x27, 0x37, 0xc0, 0xc0, 0xc0}) // overflow tier
+	f.Add([]byte{0x07, 0x17, 0x27, 0x37, 0xc0, 0xc0, 0xc0}) // far-future times
 	f.Add([]byte{0x01, 0x41, 0x81, 0xc1, 0x02, 0x42, 0x82}) // interleaved schedule/cancel/step
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {

@@ -57,6 +57,9 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestEngineCascade chains ten self-rescheduling events 1 ms apart and
+// checks the count and the final clock. The name dates from the timer
+// wheel the event heap replaced, where each hop cascaded down its levels.
 func TestEngineCascade(t *testing.T) {
 	e := New()
 	count := 0

@@ -95,9 +95,10 @@ func TestStaleEventIDAfterReuse(t *testing.T) {
 	}
 }
 
-// TestOverflowTierOrdering mixes events inside the wheel horizon with
-// events beyond it (≥ 2^48 ns ahead) and checks global firing order,
-// including FIFO ties spanning the two tiers after the cursor advances.
+// TestOverflowTierOrdering mixes near events with events ≥ 2^48 ns
+// ahead (beyond the horizon of the hierarchical timer wheel that once
+// backed the engine, where they waited in a separate overflow tier) and
+// checks global firing order, including FIFO ties among the far events.
 func TestOverflowTierOrdering(t *testing.T) {
 	e := New()
 	var fired []int
@@ -120,10 +121,11 @@ func TestOverflowTierOrdering(t *testing.T) {
 	}
 }
 
-// TestRunUntilCursorDoesNotOvershoot is the regression test for the
-// wheel-cursor ceiling rule: stopping at a deadline in an empty region
-// must leave the engine able to accept and fire events scheduled between
-// the deadline and the next far-future pending event.
+// TestRunUntilCursorDoesNotOvershoot pins that stopping at a deadline in
+// an empty region leaves the engine able to accept and fire events
+// scheduled between the deadline and the next far-future pending event.
+// (It began as the regression test for the timer wheel's cursor, which
+// must never advance past the deadline.)
 func TestRunUntilCursorDoesNotOvershoot(t *testing.T) {
 	e := New()
 	var fired []int
@@ -133,7 +135,7 @@ func TestRunUntilCursorDoesNotOvershoot(t *testing.T) {
 		t.Fatalf("RunUntil ended at %v, want %v", now, Time(1)<<20)
 	}
 	// Scheduling between the deadline and the pending event must work and
-	// fire first. If the cursor had cascaded past the deadline, this
+	// fire first; an engine whose internal position ran past the deadline
 	// would either panic or fire out of order.
 	e.At(1<<30, func(*Engine) { fired = append(fired, 1) })
 	e.Run()
@@ -142,8 +144,9 @@ func TestRunUntilCursorDoesNotOvershoot(t *testing.T) {
 	}
 }
 
-// TestRunUntilOverflowBoundary checks that an overflow-tier event exactly
-// at the deadline fires, and one past it stays pending.
+// TestRunUntilOverflowBoundary checks that a far-future event (≥ 2^48 ns,
+// once the timer wheel's overflow tier) exactly at the deadline fires,
+// and one past it stays pending.
 func TestRunUntilOverflowBoundary(t *testing.T) {
 	e := New()
 	far := Time(1) << 50
@@ -162,7 +165,8 @@ func TestRunUntilOverflowBoundary(t *testing.T) {
 
 // TestWheelReschedulingAllocFree pins the free-list contract: a steady
 // schedule→fire→reschedule loop (the RTO-timer pattern) performs zero
-// heap allocations once warmed up.
+// heap allocations once warmed up, and so does canceling an event from
+// the middle of a queue at packet depth and scheduling it again.
 func TestWheelReschedulingAllocFree(t *testing.T) {
 	e := New()
 	tick := 0
@@ -183,5 +187,29 @@ func TestWheelReschedulingAllocFree(t *testing.T) {
 	// beyond a stray allocation means the pool is not being reused.
 	if allocs > 1 {
 		t.Errorf("rescheduling loop allocated %v times per run, want ~0", allocs)
+	}
+
+	// Cancel from the middle of a packetDepth-deep queue, scheduled out of
+	// time order so the heap is not a sorted array: the remove refills the
+	// hole from the heap's tail and sifts, reusing the slice.
+	d := New()
+	fn := Handler(func(*Engine) {})
+	var ids [packetDepth]EventID
+	at := func(k int) Time { return Time(k*5%packetDepth+1) * Microsecond }
+	for k := range ids {
+		ids[k] = d.At(at(k), fn)
+	}
+	mid := packetDepth / 2
+	allocs = testing.AllocsPerRun(100, func() {
+		if !d.Cancel(ids[mid]) {
+			t.Fatal("Cancel of a queued event reported false")
+		}
+		ids[mid] = d.At(at(mid), fn)
+	})
+	if allocs != 0 {
+		t.Errorf("mid-queue Cancel allocated %v times per run, want 0", allocs)
+	}
+	if d.Pending() != packetDepth {
+		t.Errorf("Pending = %d after cancel/re-arm cycles, want %d", d.Pending(), packetDepth)
 	}
 }
