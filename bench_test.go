@@ -254,15 +254,31 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // --- Ablations ---
 
+// packetGPT2Pair runs two GPT-2 jobs under policy for 60 s on the packet
+// backend and returns the first job's steady slowdown: the mean of its
+// last 10 iterations over the ideal.
+func packetGPT2Pair(b *testing.B, policy string) float64 {
+	scn := &config.Scenario{
+		Name:        "gpt2-pair-" + policy,
+		Policy:      policy,
+		DurationSec: 60,
+		Jobs:        []config.Job{{Profile: "gpt2", Count: 2}},
+	}
+	res, err := (&backend.Packet{}).Run(context.Background(), scn, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j := res.Jobs[0]
+	return j.Slowdown(len(j.IterTimes) - 10)
+}
+
 // BenchmarkAblationPacketVsFluid runs the same two-job MLTCP convergence at
 // both fidelities and reports each steady-state slowdown; agreement
 // validates the fluid weighted-share abstraction.
 func BenchmarkAblationPacketVsFluid(b *testing.B) {
 	var packetSlow, fluidSlow float64
 	for i := 0; i < b.N; i++ {
-		pl := experiments.PacketLevel(2, experiments.MLTCPRenoFactory(400*sim.Millisecond),
-			"mltcp-reno", 60*sim.Second, 0)
-		packetSlow = pl.SteadyAvg[0].Seconds() / pl.Ideal.Seconds()
+		packetSlow = packetGPT2Pair(b, "mltcp")
 
 		agg := core.Default()
 		jobs := []*fluid.Job{
@@ -282,28 +298,21 @@ func BenchmarkAblationPacketVsFluid(b *testing.B) {
 func BenchmarkAblationMLTCPBase(b *testing.B) {
 	var reno, cubic float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.PacketLevel(2, experiments.MLTCPRenoFactory(400*sim.Millisecond),
-			"mltcp-reno", 60*sim.Second, 0)
-		c := experiments.PacketLevel(2, experiments.MLTCPCubicFactory(400*sim.Millisecond),
-			"mltcp-cubic", 60*sim.Second, 0)
-		reno = r.SteadyAvg[0].Seconds() / r.Ideal.Seconds()
-		cubic = c.SteadyAvg[0].Seconds() / c.Ideal.Seconds()
+		reno = packetGPT2Pair(b, "mltcp-reno")
+		cubic = packetGPT2Pair(b, "mltcp-cubic")
 	}
 	b.ReportMetric(reno, "mltcp-reno-slowdown")
 	b.ReportMetric(cubic, "mltcp-cubic-slowdown")
 }
 
 // BenchmarkAblationLearnedParams compares given vs auto-learned
-// TOTAL_BYTES/COMP_TIME.
+// TOTAL_BYTES/COMP_TIME. A scenario always gives the parameters, so the
+// learned half runs on a hand-built dumbbell (experiments.AutoLearned).
 func BenchmarkAblationLearnedParams(b *testing.B) {
 	var given, learned float64
 	for i := 0; i < b.N; i++ {
-		g := experiments.PacketLevel(2, experiments.MLTCPRenoFactory(400*sim.Millisecond),
-			"mltcp-reno", 60*sim.Second, 0)
-		l := experiments.PacketLevel(2, experiments.MLTCPRenoLearnedFactory(100*sim.Millisecond),
-			"mltcp-reno-learned", 60*sim.Second, 0)
-		given = g.SteadyAvg[0].Seconds() / g.Ideal.Seconds()
-		learned = l.SteadyAvg[0].Seconds() / l.Ideal.Seconds()
+		given = packetGPT2Pair(b, "mltcp")
+		learned = experiments.AutoLearned(60 * sim.Second)[0]
 	}
 	b.ReportMetric(given, "given-slowdown")
 	b.ReportMetric(learned, "learned-slowdown")
@@ -407,8 +416,7 @@ func BenchmarkEngineScheduling(b *testing.B) {
 func BenchmarkMultiBottleneck(b *testing.B) {
 	var long float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.MultiBottleneck(
-			experiments.MLTCPRenoFactory(400*sim.Millisecond), 90*sim.Second)
+		res := experiments.MultiBottleneck(90 * sim.Second)
 		long = res.SteadyAvg[0].Seconds() / res.Ideal.Seconds()
 	}
 	b.ReportMetric(long, "long-job-slowdown")

@@ -86,8 +86,11 @@ func hotpathPoints() []hotpathPoint {
 		{"packet/hetero", backend.NamePacket, fileScenario("hetero.json", 5)},
 		{"packet/noisy-six", backend.NamePacket, fileScenario("noisy-six.json", 5)},
 		// Synthetic points covering paths the examples miss: the ECN/DCTCP
-		// marking pipeline, and the fluid SRPT/LAS/PIAS allocators.
+		// marking pipeline, MLTCP over CUBIC and over delay-based Swift,
+		// and the fluid SRPT/LAS/PIAS allocators.
 		{"packet/dctcp-two-gpt2", backend.NamePacket, synth("dctcp", 5, "gpt2", "gpt2")},
+		{"packet/mltcp-cubic-two-gpt2", backend.NamePacket, synth("mltcp-cubic", 5, "gpt2", "gpt2")},
+		{"packet/mltcp-swift-two-gpt2", backend.NamePacket, synth("mltcp-swift", 5, "gpt2", "gpt2")},
 		{"fluid/srpt-three", backend.NameFluid, synth("srpt", 60, "gpt3", "gpt2", "gpt2")},
 		{"fluid/las-three", backend.NameFluid, synth("las", 60, "gpt3", "gpt2", "gpt2")},
 		{"fluid/pias-three", backend.NameFluid, synth("pias", 60, "gpt3", "gpt2", "gpt2")},

@@ -46,42 +46,61 @@ const (
 // with tiny compute phases still get a positive boundary detector.
 const minTrackerGap = 50 * sim.Millisecond
 
-// pktJob drives one sender through the compute/communicate loop and
-// records phase boundaries.
-type pktJob struct {
-	sender   *tcp.Sender
-	bytes    int64
-	compute  sim.Time
-	noise    sim.Time
-	rng      *sim.RNG
-	trace    *tcp.CwndTrace
-	rec      *telemetry.Recorder
-	flow     int
-	maxIters int
+// PacketJob drives one TCP sender through a DNN job's compute/communicate
+// loop and records the phase boundaries: write Bytes, wait for the sender
+// to drain, compute for Compute (plus Gaussian noise), repeat. It is the
+// only such loop: Packet runs one per scenario job, and experiments on
+// topologies a Scenario cannot express start their own. Only Sender,
+// Bytes and Compute are required.
+type PacketJob struct {
+	Sender  *tcp.Sender
+	Bytes   int64
+	Compute sim.Time
+	// Noise is the compute phase's standard deviation, drawn from RNG.
+	Noise sim.Time
+	RNG   *sim.RNG
+	// MaxIters ends the job after that many communication phases (0 runs
+	// it to the horizon).
+	MaxIters int
+	// Rec receives the iteration events, tagged with Flow (nil disables).
+	Rec  *telemetry.Recorder
+	Flow int
 
-	starts, ends []sim.Time
+	// Starts and Ends bracket each communication phase; a phase still in
+	// flight has a start without an end.
+	Starts, Ends []sim.Time
 }
 
-func (p *pktJob) start(eng *sim.Engine, offset sim.Time) {
-	p.sender.Drained(func(now sim.Time) {
-		p.ends = append(p.ends, now)
-		p.rec.IterEnd(now, p.flow, len(p.ends)-1, now-p.starts[len(p.ends)-1])
-		if p.maxIters > 0 && len(p.ends) >= p.maxIters {
+// Start schedules the job's first communication phase at offset.
+func (p *PacketJob) Start(eng *sim.Engine, offset sim.Time) {
+	p.Sender.Drained(func(now sim.Time) {
+		p.Ends = append(p.Ends, now)
+		p.Rec.IterEnd(now, p.Flow, len(p.Ends)-1, now-p.Starts[len(p.Ends)-1])
+		if p.MaxIters > 0 && len(p.Ends) >= p.MaxIters {
 			return // the job departs after its configured iteration budget
 		}
-		compute := p.compute
-		if p.noise > 0 {
-			compute = p.rng.NormDuration(compute, p.noise, 0)
+		compute := p.Compute
+		if p.Noise > 0 {
+			compute = p.RNG.NormDuration(compute, p.Noise, 0)
 		}
 		eng.After(compute, func(e *sim.Engine) { p.begin(e) })
 	})
 	eng.At(offset, func(e *sim.Engine) { p.begin(e) })
 }
 
-func (p *pktJob) begin(eng *sim.Engine) {
-	p.starts = append(p.starts, eng.Now())
-	p.rec.IterStart(eng.Now(), p.flow, len(p.starts)-1)
-	p.sender.Write(p.bytes)
+func (p *PacketJob) begin(eng *sim.Engine) {
+	p.Starts = append(p.Starts, eng.Now())
+	p.Rec.IterStart(eng.Now(), p.Flow, len(p.Starts)-1)
+	p.Sender.Write(p.Bytes)
+}
+
+// IterTimes returns the training iteration durations, Starts[k+1]-Starts[k].
+func (p *PacketJob) IterTimes() []sim.Time {
+	var ts []sim.Time
+	for k := 1; k < len(p.Starts); k++ {
+		ts = append(ts, p.Starts[k]-p.Starts[k-1])
+	}
+	return ts
 }
 
 // Run implements Backend.
@@ -147,7 +166,8 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		bwMon = netsim.NewBandwidthMonitor(net.Forward, telemetry.DefaultSampleEvery)
 	}
 
-	jobs := make([]*pktJob, len(specs))
+	jobs := make([]*PacketJob, len(specs))
+	traces := make([]*tcp.CwndTrace, len(specs))
 	for i, spec := range specs {
 		bytes := int64(float64(spec.Profile.CommBytes) * scale)
 		if bytes < 1 {
@@ -163,24 +183,24 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 		}
 		f := tcp.NewFlow(eng, netsim.FlowID(i+1), net.Left[i], net.Right[i],
 			cc, tcp.Config{ECN: ecn, Trace: rec})
-		jobs[i] = &pktJob{
-			sender:   f.Sender,
-			bytes:    bytes,
-			compute:  spec.Profile.ComputeTime,
-			noise:    spec.NoiseStd,
-			rng:      sim.NewRNG(jobSeed(seed, spec)),
-			rec:      rec,
-			flow:     i + 1,
-			maxIters: spec.MaxIterations,
+		jobs[i] = &PacketJob{
+			Sender:   f.Sender,
+			Bytes:    bytes,
+			Compute:  spec.Profile.ComputeTime,
+			Noise:    spec.NoiseStd,
+			RNG:      sim.NewRNG(jobSeed(seed, spec)),
+			MaxIters: spec.MaxIterations,
+			Rec:      rec,
+			Flow:     i + 1,
 		}
 		if cwndEvery > 0 {
-			jobs[i].trace = tcp.SampleCwnd(f.Sender, cwndEvery)
+			traces[i] = tcp.SampleCwnd(f.Sender, cwndEvery)
 		}
 		off := spec.StartOffset
 		if offsets != nil {
 			off = offsets[i]
 		}
-		jobs[i].start(eng, off)
+		jobs[i].Start(eng, off)
 	}
 
 	if rec.Enabled() {
@@ -190,8 +210,8 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 				Flow:         i + 1,
 				Name:         spec.Label(),
 				Profile:      spec.Profile.Name,
-				IdealNS:      int64(spec.Profile.ComputeTime + bottleneck.TransmissionTime(jobs[i].bytes)),
-				BytesPerIter: jobs[i].bytes,
+				IdealNS:      int64(spec.Profile.ComputeTime + bottleneck.TransmissionTime(jobs[i].Bytes)),
+				BytesPerIter: jobs[i].Bytes,
 			}
 		}
 		rec.SetManifest(newManifest(&s, b.Name(), seed, bottleneck, scale, mjobs))
@@ -231,20 +251,18 @@ func (b *Packet) Run(ctx context.Context, scn *config.Scenario, seed uint64) (*R
 			Profile: spec.Profile.Name,
 			// Packet scaling preserves the unscaled ideal: bytes×scale
 			// over capacity×scale plus the unscaled compute phase.
-			Ideal:          spec.Profile.ComputeTime + bottleneck.TransmissionTime(j.bytes),
-			BytesPerIter:   j.bytes,
-			DeliveredBytes: j.sender.TotalBytesAcked(),
-			CommStarts:     j.starts,
-			CommEnds:       j.ends,
+			Ideal:          spec.Profile.ComputeTime + bottleneck.TransmissionTime(j.Bytes),
+			BytesPerIter:   j.Bytes,
+			DeliveredBytes: j.Sender.TotalBytesAcked(),
+			CommStarts:     j.Starts,
+			CommEnds:       j.Ends,
+			IterTimes:      j.IterTimes(),
 		}
-		for k := 1; k < len(j.starts); k++ {
-			jr.IterTimes = append(jr.IterTimes, j.starts[k]-j.starts[k-1])
+		for k := range j.Ends {
+			jr.FCTs = append(jr.FCTs, j.Ends[k]-j.Starts[k])
 		}
-		for k := range j.ends {
-			jr.FCTs = append(jr.FCTs, j.ends[k]-j.starts[k])
-		}
-		if j.trace != nil {
-			jr.CwndTrace = j.trace.Values()
+		if tr := traces[i]; tr != nil {
+			jr.CwndTrace = tr.Values()
 			if n := len(jr.CwndTrace); n > 0 {
 				jr.FinalCwnd = jr.CwndTrace[n-1]
 			}

@@ -67,14 +67,6 @@ func fairnessNet(eng *sim.Engine, pairs int, lossProb float64, seed uint64) *net
 	return d
 }
 
-// iterate drives a sender through the periodic write/compute loop.
-func iterate(eng *sim.Engine, s *tcp.Sender, iterBytes int64, comp sim.Time) {
-	s.Drained(func(now sim.Time) {
-		eng.After(comp, func(*sim.Engine) { s.Write(iterBytes) })
-	})
-	s.Write(iterBytes)
-}
-
 func mltcpCC() tcp.CongestionControl {
 	return core.Wrap(tcp.NewReno(), core.Default(),
 		core.NewTracker(fairnessIterBytes, fairnessComp/2))

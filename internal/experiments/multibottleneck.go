@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"mltcp/internal/backend"
+	"mltcp/internal/core"
 	"mltcp/internal/netsim"
 	"mltcp/internal/sim"
 	"mltcp/internal/tcp"
@@ -17,16 +19,15 @@ type MultiBottleneckResult struct {
 	// Names are the jobs: "long" (sw0->sw2), "crossA" (sw0->sw1),
 	// "crossB" (sw1->sw2).
 	Names []string
-	// IterTimes[i] are job i's iteration durations.
-	IterTimes [][]sim.Time
 	// SteadyAvg[i] averages the last 10 iterations.
 	SteadyAvg []sim.Time
 	// Ideal is the isolated iteration time (same shape for all three).
 	Ideal sim.Time
 }
 
-// MultiBottleneck runs the parking-lot scenario at packet level.
-func MultiBottleneck(factory ccFactory, horizon sim.Time) MultiBottleneckResult {
+// MultiBottleneck runs the parking-lot scenario at packet level, every
+// job on MLTCP-Reno with known parameters.
+func MultiBottleneck(horizon sim.Time) MultiBottleneckResult {
 	eng := sim.New()
 	p := netsim.NewParkingLot(eng, netsim.ParkingLotConfig{
 		Switches:       3,
@@ -49,33 +50,16 @@ func MultiBottleneck(factory ccFactory, horizon sim.Time) MultiBottleneckResult 
 		{"crossB", p.Host(1, 2), p.Host(2, 2)},
 	}
 
-	res := MultiBottleneckResult{
-		Ideal: profile.ComputeTime + plRate.TransmissionTime(bytes),
-	}
-	jobs := make([]*packetJob, len(routes))
+	jobs := make([]*backend.PacketJob, len(routes))
 	for i, r := range routes {
-		f := tcp.NewFlow(eng, netsim.FlowID(i+1), r.src, r.dst, factory(bytes), tcp.Config{})
-		jobs[i] = &packetJob{sender: f.Sender, bytes: bytes, compute: profile.ComputeTime}
-		jobs[i].start(eng, sim.Time(i)*StaggerOffset)
-		res.Names = append(res.Names, r.name)
+		jobs[i] = startGPT2(eng, i, r.src, r.dst, core.NewReno(bytes, 400*sim.Millisecond), tcp.Config{})
 	}
 	eng.RunUntil(horizon)
 
-	for _, j := range jobs {
-		res.IterTimes = append(res.IterTimes, j.iterTimes)
-		var sum sim.Time
-		count := 0
-		for k := len(j.iterTimes) - 10; k < len(j.iterTimes); k++ {
-			if k >= 0 {
-				sum += j.iterTimes[k]
-				count++
-			}
-		}
-		if count > 0 {
-			res.SteadyAvg = append(res.SteadyAvg, sum/sim.Time(count))
-		} else {
-			res.SteadyAvg = append(res.SteadyAvg, 0)
-		}
+	res := MultiBottleneckResult{Ideal: profile.IdealIterTime(plRate)}
+	for i, j := range jobs {
+		res.Names = append(res.Names, routes[i].name)
+		res.SteadyAvg = append(res.SteadyAvg, steadyAvg(j))
 	}
 	return res
 }
