@@ -252,7 +252,8 @@ func (s *Sim) Now() sim.Time { return s.now }
 // the self-metrics layer to express solver throughput.
 func (s *Sim) Steps() uint64 { return s.steps }
 
-// Run advances the simulation to the given absolute time.
+// Run advances the simulation to the given absolute time. A time at or
+// before Now is a no-op: the clock never runs backwards.
 //
 //mltcp:hot
 func (s *Sim) Run(until sim.Time) {
@@ -348,7 +349,6 @@ func (s *Sim) Run(until sim.Time) {
 		}
 		s.now += dt
 	}
-	s.now = until
 }
 
 // allocate fills the per-step rate vector in place. The active set is a

@@ -301,6 +301,20 @@ func TestMaxIterationsStopsJob(t *testing.T) {
 	}
 }
 
+// TestRunEarlierDeadlineIsNoOp pins that the clock never runs
+// backwards: a Run deadline at or before Now changes nothing, as
+// sim.Engine.RunUntil does.
+func TestRunEarlierDeadlineIsNoOp(t *testing.T) {
+	s := runSim(t, WeightedShare{}, 2*sim.Second, gpt2Job("J1", 0, nil))
+	steps := s.Steps()
+	s.Run(1 * sim.Second)
+	s.Run(2 * sim.Second)
+	if s.Now() != 2*sim.Second || s.Steps() != steps {
+		t.Errorf("after Run(1s) and Run(2s) from 2s: Now = %v, steps %d → %d; want 2s and no steps",
+			s.Now(), steps, s.Steps())
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	j := gpt2Job("J", 0, nil)
 	for name, fn := range map[string]func(){

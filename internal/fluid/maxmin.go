@@ -52,10 +52,13 @@ func (MaxMin) Name() string { return "maxmin" }
 //
 // The work tracks what changed. The link→flow incidence is cached in
 // sc and rebuilt only when the network or the active jobs change (see
-// AllocScratch for the cache contract). A call evaluates each weight
-// once and each crossed link's Σw and fill level once; a round then
-// refreshes only the links its newly frozen flows cross, and a
-// tournament tree over the crossed links yields the next bottleneck.
+// AllocScratch for the cache contract); it keeps one representative of
+// each class of crossed links with the same flows and capacity, since
+// the others can never be the bottleneck (see incidence). A call
+// evaluates each weight once and each representative's Σw and fill
+// level once; a round then refreshes only the links its newly frozen
+// flows cross, and a tournament tree over the representatives yields
+// the next bottleneck.
 // Every link sum adds its unfrozen flows' weights in ascending flow
 // order and every charge lands in freezing order, exactly as a full
 // rescan per round would, so the rates are bit-identical to it.
@@ -95,7 +98,7 @@ func (MaxMin) Allocate(nw *Network, active []*Job, rates []units.Rate, sc *Alloc
 	caps, links := nw.Capacities, inc.links
 	rowStart, rowFlow := inc.rowStart, inc.rowFlow
 
-	// Round one: every crossed link's Σw over all active flows. Only
+	// Round one: every position's Σw over all active flows. Only
 	// links with Σw > 0 now are ever bottleneck candidates.
 	for p := 0; p < m; p++ {
 		var s float64

@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mltcp/internal/core"
@@ -496,9 +497,21 @@ type diffFabric struct {
 func newDiffFabric(src *diffSource) diffFabric {
 	sizes := []int{1, 2, 3, 7, 17, 63, 64, 65, 130}
 	nl := sizes[src.intn(len(sizes))]
+	// Capacities: independent draws, one value for every link, or two
+	// values, as fat-trees have. The last two make links with equal rows
+	// and equal capacities, which the incidence collapses to one.
+	capacity := func() units.Rate { return units.Rate(float64(1+src.intn(1000)) * 1e8) }
+	kind, c0, c1 := src.intn(3), capacity(), capacity()
 	caps := make([]units.Rate, nl)
 	for l := range caps {
-		caps[l] = units.Rate(float64(1+src.intn(1000)) * 1e8)
+		switch {
+		case kind == 0:
+			caps[l] = capacity()
+		case kind == 1 || src.intn(2) == 0:
+			caps[l] = c0
+		default:
+			caps[l] = c1
+		}
 	}
 	fab := diffFabric{nw: NewNetwork(caps, nil)}
 	// Some fabrics route every flow over link 0 only: one candidate.
@@ -521,8 +534,11 @@ func newDiffFabric(src *diffSource) diffFabric {
 				perm[p], perm[q] = perm[q], perm[p]
 			}
 			path = perm[:pl]
-			if src.intn(10) == 0 { // a path that lists one link twice
+			switch src.intn(10) {
+			case 0: // a path that lists one link twice
 				path = append(path, path[src.intn(pl)])
+			case 1: // a path that lists every link twice
+				path = append(path, path...)
 			}
 		}
 		fab.pool = append(fab.pool, netJob("d", diffWeight(src), path))
@@ -530,12 +546,19 @@ func newDiffFabric(src *diffSource) diffFabric {
 	return fab
 }
 
+// diffCoverage counts the calls of a differential run whose incidence
+// dropped a duplicate link, and those where a dropped link's row lists
+// a flow twice.
+type diffCoverage struct {
+	collapsed, repeated int
+}
+
 // runDifferential drives one scratch through a call sequence over two
 // fabrics — flows joining and leaving, weights changing under an
 // unchanged active set, zero weights, network switches and fresh slices
 // holding the same pointers — and requires every call to match
 // refMaxMin bit for bit in rates and bottlenecks.
-func runDifferential(t *testing.T, src *diffSource) {
+func runDifferential(t *testing.T, src *diffSource) (cov diffCoverage) {
 	t.Helper()
 	fabs := []diffFabric{newDiffFabric(src), newDiffFabric(src)}
 	cur := 0
@@ -591,14 +614,56 @@ func runDifferential(t *testing.T, src *diffSource) {
 					rates[i], sc.Bottleneck[i], want[i], ref.Bottleneck[i])
 			}
 		}
+		if len(active) > 0 && len(sc.inc.links) < crossedLinks(active) {
+			cov.collapsed++
+			if repeatDropped(active, sc.inc.pos) {
+				cov.repeated++
+			}
+		}
 	}
+	return cov
+}
+
+// crossedLinks counts the distinct links the active paths cross.
+func crossedLinks(active []*Job) int {
+	seen := map[int]bool{}
+	for _, j := range active {
+		for _, l := range j.Path {
+			seen[l] = true
+		}
+	}
+	return len(seen)
+}
+
+// repeatDropped reports whether the incidence dropped a link that some
+// active path lists twice.
+func repeatDropped(active []*Job, pos []int32) bool {
+	for _, j := range active {
+		for a, l := range j.Path {
+			for _, l2 := range j.Path[a+1:] {
+				if l2 == l && pos[l] < 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // TestMaxMinDifferential checks the incremental allocator against the
-// full-rescan reference over seeded random fabrics and call sequences.
+// full-rescan reference over seeded random fabrics and call sequences,
+// and that the draws exercise the duplicate-link collapse, rows that
+// list a flow twice included.
 func TestMaxMinDifferential(t *testing.T) {
+	var cov diffCoverage
 	for seed := uint64(0); seed < 400; seed++ {
-		runDifferential(t, &diffSource{rng: sim.NewRNGAt(11, seed)})
+		c := runDifferential(t, &diffSource{rng: sim.NewRNGAt(11, seed)})
+		cov.collapsed += c.collapsed
+		cov.repeated += c.repeated
+	}
+	if cov.collapsed == 0 || cov.repeated == 0 {
+		t.Errorf("%d calls collapsed duplicate links, %d of them a link listed twice; want both > 0",
+			cov.collapsed, cov.repeated)
 	}
 }
 
@@ -607,6 +672,28 @@ func TestMaxMinDifferential(t *testing.T) {
 func FuzzMaxMinDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x05\x20\x11\x03\x00\x40\x01\x07\x02\x05\x06\x03"))
+	// A uniform-capacity 7-link fabric whose four paths overlap, two of
+	// them listing every link twice, with a zero and a negative weight;
+	// then a two-capacity 3-link fabric with two one-flow links of equal
+	// capacity. The call sequence joins all four, changes weights under
+	// the same set, switches fabrics and back, and drops a flow.
+	f.Add([]byte("\x03\x01\x00\x09\x00\x09\x01\x03" +
+		"\x02\x00\x00\x00\x01\x05\x10\x00\x00" +
+		"\x01\x00\x00\x05\x00" +
+		"\x02\x02\x02\x02\x01\x03\x08\x00\x00" +
+		"\x05\x00\x00\x00\x00\x00\x00\x05\x01" +
+		"\x02\x02\x00\x03\x00\x04\x00\x01\x01\x01\x01" +
+		"\x02\x00\x00\x05\x02\x00\x00\x05\x01" +
+		"\x20\x00\x00\x00\x01\x00\x00\x02\x02\x00\x03\x01" +
+		"\x03\x00\x02\x04\x02\x06\x05\x00\x00\x07\x05\x00\x00\x00\x00\x02\x01"))
+	// A two-capacity 64-link fabric, alternating capacities, with 24
+	// flows; the arithmetic tail draws their paths and weights, the
+	// second fabric and the calls.
+	tail := make([]byte, 512)
+	for i := range tail {
+		tail[i] = byte(i * 37 % 251)
+	}
+	f.Add(append([]byte("\x06\x02\x01\x00\x02\x00"+strings.Repeat("\x00\x01", 32)+"\x01\x17"), tail...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDifferential(t, &diffSource{data: data})
 	})
@@ -675,8 +762,32 @@ func fatTreeSnapshot() (*Network, []*Job) {
 	return nw, jobs
 }
 
+// TestMaxMinFatTreeWork pins the allocator's work on the fat-tree
+// snapshot as exact counts: the links the 23 paths cross, the positions
+// left after duplicate links collapse, and the filling rounds. Every
+// round freezes at least one flow on a bottleneck no other round uses,
+// so the rounds are the distinct bottleneck links. A duplicate never
+// wins a round, so the collapse leaves the rounds as they were.
+func TestMaxMinFatTreeWork(t *testing.T) {
+	nw, jobs := fatTreeSnapshot()
+	var sc AllocScratch
+	rates := make([]units.Rate, len(jobs))
+	MaxMin{}.Allocate(nw, jobs, rates, &sc)
+	bottlenecks := map[int]bool{}
+	for _, l := range sc.Bottleneck {
+		bottlenecks[l] = true
+	}
+	got := [3]int{crossedLinks(jobs), len(sc.inc.links), len(bottlenecks)}
+	if want := [3]int{122, 29, 18}; got != want {
+		t.Errorf("crossed links, positions, rounds = %v, want %v", got, want)
+	}
+}
+
 // BenchmarkMaxMinFatTree times one allocator call on the frozen fat-tree
-// snapshot with an unchanged active set — the common case in a run.
+// snapshot with an unchanged active set, which reuses the cached
+// incidence. About 85% of the calls in a fluid-fattree run see the
+// active set of the call before; BenchmarkMaxMinFatTreeChurn prices
+// the others.
 func BenchmarkMaxMinFatTree(b *testing.B) {
 	nw, jobs := fatTreeSnapshot()
 	var sc AllocScratch
@@ -685,5 +796,22 @@ func BenchmarkMaxMinFatTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MaxMin{}.Allocate(nw, jobs, rates, &sc)
+	}
+}
+
+// BenchmarkMaxMinFatTreeChurn times one allocator call on the fat-tree
+// snapshot when the active set differs from the last call's, so every
+// call rebuilds and collapses the incidence: calls alternate between
+// the snapshot without its last flow and without its first.
+func BenchmarkMaxMinFatTreeChurn(b *testing.B) {
+	nw, jobs := fatTreeSnapshot()
+	sets := [2][]*Job{jobs[:len(jobs)-1], jobs[1:]}
+	var sc AllocScratch
+	rates := make([]units.Rate, len(jobs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		active := sets[i&1]
+		MaxMin{}.Allocate(nw, active, rates[:len(active)], &sc)
 	}
 }
