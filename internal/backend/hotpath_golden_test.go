@@ -17,6 +17,7 @@ import (
 	"mltcp/internal/backend"
 	"mltcp/internal/config"
 	"mltcp/internal/diagnose"
+	"mltcp/internal/obs"
 	"mltcp/internal/telemetry"
 )
 
@@ -97,7 +98,33 @@ func hotpathPoints() []hotpathPoint {
 	}
 }
 
-func runHotpathPoint(t *testing.T, pt hotpathPoint) (hotpathDigest, []byte) {
+// packetWork is a packet point's deterministic work: engine events fired
+// and the topology's aggregate link counters. Digests of the trace and
+// Result cannot see work that leaves the output unchanged (an extra
+// event that fires and does nothing), so these are pinned exactly too.
+type packetWork struct {
+	Events, PacketsSent, PacketsDropped int64
+}
+
+// hotpathPacketWork pins packetWork for every packet/* hot-path point.
+// The counts were recorded before the engine's fused pop/schedule, the
+// per-link transmission-time memo and the slice dispatch tables landed;
+// those changes are bit-identical by construction and must not move a
+// single count. Unlike the digests there is no re-bless flag: a change
+// that alters the work on purpose edits this table by hand.
+var hotpathPacketWork = map[string]packetWork{
+	"packet/fourjobs":             {Events: 1608836, PacketsSent: 804363, PacketsDropped: 1560},
+	"packet/hetero":               {Events: 1642639, PacketsSent: 821260, PacketsDropped: 3227},
+	"packet/noisy-six":            {Events: 1503704, PacketsSent: 751763, PacketsDropped: 7769},
+	"packet/dctcp-two-gpt2":       {Events: 616570, PacketsSent: 308232, PacketsDropped: 0},
+	"packet/mltcp-cubic-two-gpt2": {Events: 704319, PacketsSent: 352097, PacketsDropped: 9599},
+	"packet/mltcp-swift-two-gpt2": {Events: 616768, PacketsSent: 308331, PacketsDropped: 99},
+}
+
+// runHotpathPoint runs one point with a recorder and an obs collector
+// attached (observation is out of band, pinned by obs_test.go) and
+// returns its digest, its serialized trace and its packet work.
+func runHotpathPoint(t *testing.T, pt hotpathPoint) (hotpathDigest, []byte, packetWork) {
 	t.Helper()
 	b, err := backend.New(pt.backendName)
 	if err != nil {
@@ -105,10 +132,14 @@ func runHotpathPoint(t *testing.T, pt hotpathPoint) (hotpathDigest, []byte) {
 	}
 	scn := pt.load(t)
 	rec, buf, reg := telemetry.NewBuffered(telemetry.Options{})
-	res, err := b.Run(telemetry.WithRecorder(context.Background(), rec), scn, 1)
+	col := obs.NewCollector()
+	ctx := obs.WithCollector(telemetry.WithRecorder(context.Background(), rec), col)
+	res, err := b.Run(ctx, scn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := col.Runs()[0]
+	work := packetWork{int64(rs.Events), rs.PacketsSent, rs.PacketsDropped}
 	// The manifest is omitted on purpose: it embeds the build revision,
 	// which legitimately changes between commits. Events and the metrics
 	// registry are the simulation's observable behaviour.
@@ -125,7 +156,7 @@ func runHotpathPoint(t *testing.T, pt hotpathPoint) (hotpathDigest, []byte) {
 	return hotpathDigest{
 		Trace:  hex.EncodeToString(tsum[:]),
 		Result: hex.EncodeToString(rsum[:]),
-	}, trace.Bytes()
+	}, trace.Bytes(), work
 }
 
 // diagnoseHotpathDivergence narrows a golden-digest mismatch down to an
@@ -140,7 +171,7 @@ func runHotpathPoint(t *testing.T, pt hotpathPoint) (hotpathDigest, []byte) {
 // directory as a failure artifact).
 func diagnoseHotpathDivergence(t *testing.T, pt hotpathPoint, firstTrace []byte) {
 	t.Helper()
-	_, rerun := runHotpathPoint(t, pt)
+	_, rerun, _ := runHotpathPoint(t, pt)
 
 	var report strings.Builder
 	fmt.Fprintf(&report, "hotpath golden divergence: point %s\n", pt.name)
@@ -188,7 +219,8 @@ func diagnoseHotpathDivergence(t *testing.T, pt hotpathPoint, firstTrace []byte)
 // legitimate for changes that intentionally alter simulation behaviour,
 // never for performance work. On a digest mismatch the point is rerun and
 // the two traces fed through internal/diagnose, so the failure names the
-// first divergent event instead of two opaque hashes.
+// first divergent event instead of two opaque hashes. Packet points also
+// compare their work exactly against hotpathPacketWork.
 func TestHotPathGoldenTraces(t *testing.T) {
 	goldenPath := filepath.FromSlash("testdata/hotpath_golden.json")
 	golden := map[string]hotpathDigest{}
@@ -206,8 +238,13 @@ func TestHotPathGoldenTraces(t *testing.T) {
 	for _, pt := range hotpathPoints() {
 		pt := pt
 		t.Run(pt.name, func(t *testing.T) {
-			d, traceBytes := runHotpathPoint(t, pt)
+			d, traceBytes, work := runHotpathPoint(t, pt)
 			got[pt.name] = d
+			if wantWork, ok := hotpathPacketWork[pt.name]; ok && work != wantWork {
+				t.Errorf("packet work diverged from the pinned counts\n got  %+v\n want %+v", work, wantWork)
+			} else if !ok && strings.HasPrefix(pt.name, "packet/") {
+				t.Errorf("packet point %s has no pinned work in hotpathPacketWork", pt.name)
+			}
 			if *updateHotpathGolden {
 				return
 			}

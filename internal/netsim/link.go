@@ -50,6 +50,13 @@ type Link struct {
 	pool    *PacketPool // shared terminal-event recycler (nil: no recycling)
 	tx      txDone      // the one in-flight serialization-complete handler
 	freeDel *delivery   // free list of propagation-delivery handlers
+
+	// txSize and txTime memoize the last serialization delay: wire sizes
+	// are nearly always MSS or ACK size, and a miss recomputes exactly.
+	// The zero pair is already right, since a zero-byte packet takes zero
+	// time at any positive rate.
+	txSize int
+	txTime sim.Time
 }
 
 // txDone is the pre-bound serialization-complete handler. A link
@@ -145,6 +152,8 @@ func (l *Link) SetTelemetry(rec *telemetry.Recorder) { l.rec = rec }
 
 // Send implements Receiver so that links can be targets of other components
 // directly; it enqueues the packet and kicks serialization if idle.
+//
+//mltcp:hot
 func (l *Link) Send(p *Packet) {
 	wasMarked := p.ECNMarked
 	if !l.queue.Enqueue(p) {
@@ -169,9 +178,12 @@ func (l *Link) startTransmission() {
 		return
 	}
 	l.busy = true
-	txTime := l.rate.TransmissionTime(int64(p.WireSize()))
+	if size := p.WireSize(); size != l.txSize {
+		l.txSize = size
+		l.txTime = l.rate.TransmissionTime(int64(size))
+	}
 	l.tx.p = p
-	l.eng.AfterHandler(txTime, &l.tx)
+	l.eng.AfterHandler(l.txTime, &l.tx)
 }
 
 //mltcp:hot

@@ -60,6 +60,47 @@ func TestLinkBackToBackSerialization(t *testing.T) {
 	}
 }
 
+// TestLinkTxTimeMemoExact feeds a link alternating MSS, ACK and odd-sized
+// packets, in two bursts with an idle gap between them, and requires every
+// serialization delay to equal Rate.TransmissionTime of that packet's wire
+// size exactly: the per-link memo must never serve a stale size. The rate
+// is odd so most delays round.
+func TestLinkTxTimeMemoExact(t *testing.T) {
+	eng := sim.New()
+	rate := units.Rate(777_777_777)
+	l := NewLink(eng, "l", rate, 3*sim.Microsecond, NewDropTail(1<<30), &sink{})
+	var done []sim.Time
+	l.AddTap(func(now sim.Time, _ *Packet) { done = append(done, now) })
+	bursts := [][]int{
+		{MaxPayload, 0, MaxPayload, MaxPayload, 0, 0, 777, MaxPayload, 1, 0, 1459, 1459, MaxPayload},
+		{0, MaxPayload, 13, 13, 0, MaxPayload},
+	}
+	at := []sim.Time{0, sim.Millisecond}
+	var want []sim.Time
+	var finish sim.Time
+	for b, burst := range bursts {
+		b, burst := b, burst
+		eng.At(at[b], func(*sim.Engine) {
+			for _, n := range burst {
+				l.Send(&Packet{Payload: n})
+			}
+		})
+		for _, n := range burst {
+			finish = max(finish, at[b]) + rate.TransmissionTime(int64(n+HeaderBytes))
+			want = append(want, finish)
+		}
+	}
+	eng.Run()
+	if len(done) != len(want) {
+		t.Fatalf("serialized %d packets, want %d", len(done), len(want))
+	}
+	for i := range want {
+		if done[i] != want[i] {
+			t.Errorf("packet %d finished serializing at %v, want %v", i, done[i], want[i])
+		}
+	}
+}
+
 func TestLinkQueueDropsCounted(t *testing.T) {
 	eng := sim.New()
 	dst := &sink{}

@@ -8,30 +8,49 @@ import (
 
 // Switch forwards packets by destination NodeID over per-destination links.
 type Switch struct {
-	id     NodeID
-	name   string
-	routes map[NodeID]*Link
+	id   NodeID
+	name string
+	// routes is indexed by destination NodeID; topology builders number
+	// nodes densely from 0, so the table stays small. Nil means no route.
+	routes []*Link
 }
 
 // NewSwitch creates an empty switch.
 func NewSwitch(id NodeID, name string) *Switch {
-	return &Switch{id: id, name: name, routes: make(map[NodeID]*Link)}
+	return &Switch{id: id, name: name}
 }
 
 // ID returns the switch's node ID.
 func (s *Switch) ID() NodeID { return s.id }
 
 // AddRoute directs traffic for dst out of the given link. Later calls for
-// the same destination replace the route.
-func (s *Switch) AddRoute(dst NodeID, l *Link) { s.routes[dst] = l }
-
-// Receive implements Receiver.
-func (s *Switch) Receive(_ *sim.Engine, p *Packet) {
-	l, ok := s.routes[p.Dst]
-	if !ok {
-		panic(fmt.Sprintf("netsim: switch %s has no route to node %d (flow %d)", s.name, p.Dst, p.Flow))
+// the same destination replace the route. A negative dst panics: node IDs
+// index the route table.
+func (s *Switch) AddRoute(dst NodeID, l *Link) {
+	if dst < 0 {
+		panic(fmt.Sprintf("netsim: switch %s route to negative node %d", s.name, dst))
 	}
-	l.Send(p)
+	for int(dst) >= len(s.routes) {
+		s.routes = append(s.routes, nil)
+	}
+	s.routes[dst] = l
+}
+
+// Receive implements Receiver. A destination without a route panics: the
+// simulator never produces stray traffic, so it is a wiring bug.
+//
+//mltcp:hot
+func (s *Switch) Receive(_ *sim.Engine, p *Packet) {
+	if uint(p.Dst) >= uint(len(s.routes)) || s.routes[p.Dst] == nil {
+		s.panicNoRoute(p)
+	}
+	s.routes[p.Dst].Send(p)
+}
+
+// panicNoRoute keeps the panic formatting (whose fmt arguments box) out
+// of the //mltcp:hot dispatch body.
+func (s *Switch) panicNoRoute(p *Packet) {
+	panic(fmt.Sprintf("netsim: switch %s has no route to node %d (flow %d)", s.name, p.Dst, p.Flow))
 }
 
 // Endpoint is a transport-layer attachment on a host: the host dispatches
@@ -43,10 +62,12 @@ type Endpoint interface {
 // Host is an end node. Outbound packets go out its uplink; inbound packets
 // are dispatched to the endpoint registered for their flow.
 type Host struct {
-	id        NodeID
-	name      string
-	uplink    *Link
-	endpoints map[FlowID]Endpoint
+	id     NodeID
+	name   string
+	uplink *Link
+	// endpoints is indexed by FlowID; the transport numbers flows densely
+	// from a small base, so the table stays small. Nil means no endpoint.
+	endpoints []Endpoint
 	pool      *PacketPool // shared with the topology; nil disables recycling
 }
 
@@ -54,7 +75,7 @@ type Host struct {
 // hosts and links (which need a destination Receiver) can be built in
 // either order.
 func NewHost(id NodeID, name string) *Host {
-	return &Host{id: id, name: name, endpoints: make(map[FlowID]Endpoint)}
+	return &Host{id: id, name: name}
 }
 
 // ID returns the host's node ID.
@@ -81,9 +102,20 @@ func (h *Host) SetPool(pp *PacketPool) { h.pool = pp }
 func (h *Host) NewPacket() *Packet { return h.pool.Get() }
 
 // Attach registers the endpoint handling the given flow. Attaching a second
-// endpoint for the same flow panics: it is always a wiring bug.
+// endpoint for the same flow panics: it is always a wiring bug. So does a
+// negative flow or a nil endpoint: flow IDs index the endpoint table, and
+// a nil entry means none is attached.
 func (h *Host) Attach(flow FlowID, ep Endpoint) {
-	if _, dup := h.endpoints[flow]; dup {
+	if flow < 0 {
+		panic(fmt.Sprintf("netsim: host %s cannot attach negative flow %d", h.name, flow))
+	}
+	if ep == nil {
+		panic(fmt.Sprintf("netsim: host %s cannot attach a nil endpoint for flow %d", h.name, flow))
+	}
+	for int(flow) >= len(h.endpoints) {
+		h.endpoints = append(h.endpoints, nil)
+	}
+	if h.endpoints[flow] != nil {
 		panic(fmt.Sprintf("netsim: host %s already has an endpoint for flow %d", h.name, flow))
 	}
 	h.endpoints[flow] = ep
@@ -106,11 +138,10 @@ func (h *Host) Send(p *Packet) {
 //
 //mltcp:hot
 func (h *Host) Receive(eng *sim.Engine, p *Packet) {
-	ep, ok := h.endpoints[p.Flow]
-	if !ok {
+	if uint(p.Flow) >= uint(len(h.endpoints)) || h.endpoints[p.Flow] == nil {
 		h.panicUnknownFlow(p)
 	}
-	ep.HandlePacket(eng, p)
+	h.endpoints[p.Flow].HandlePacket(eng, p)
 	h.pool.Put(p)
 }
 

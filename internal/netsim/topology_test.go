@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"mltcp/internal/sim"
@@ -94,37 +96,75 @@ func TestDumbbellSharedBottleneck(t *testing.T) {
 	}
 }
 
+// expectPanic runs fn and requires it to panic with a message containing
+// want.
+func expectPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	fn()
+}
+
 func TestHostAttachDuplicatePanics(t *testing.T) {
 	h := NewHost(1, "h")
 	h.Attach(1, &echoEndpoint{})
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Attach did not panic")
-		}
-	}()
-	h.Attach(1, &echoEndpoint{})
+	expectPanic(t, "already has an endpoint for flow 1", func() { h.Attach(1, &echoEndpoint{}) })
+	expectPanic(t, "negative flow -1", func() { h.Attach(-1, &echoEndpoint{}) })
+	expectPanic(t, "nil endpoint", func() { h.Attach(2, nil) })
 }
 
+// TestHostUnknownFlowPanics covers every way a flow can miss the endpoint
+// table: beyond its end, negative, and a gap inside it.
 func TestHostUnknownFlowPanics(t *testing.T) {
 	eng := sim.New()
 	h := NewHost(1, "h")
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown flow did not panic")
-		}
-	}()
-	h.Receive(eng, &Packet{Flow: 99})
+	expectPanic(t, "unknown flow 99", func() { h.Receive(eng, &Packet{Flow: 99}) })
+	ep := &echoEndpoint{}
+	h.Attach(3, ep)
+	for _, f := range []FlowID{4, 99, -1, 0, 2} {
+		expectPanic(t, fmt.Sprintf("unknown flow %d", f), func() { h.Receive(eng, &Packet{Flow: f}) })
+	}
+	h.Receive(eng, &Packet{Flow: 3})
+	if ep.got != 1 {
+		t.Fatalf("attached endpoint got %d packets, want 1", ep.got)
+	}
 }
 
+// TestSwitchNoRoutePanics covers every way a destination can miss the
+// route table: beyond its end, negative, and a gap inside it.
 func TestSwitchNoRoutePanics(t *testing.T) {
 	eng := sim.New()
 	s := NewSwitch(1, "s")
-	defer func() {
-		if recover() == nil {
-			t.Error("missing route did not panic")
-		}
-	}()
-	s.Receive(eng, &Packet{Dst: 5})
+	expectPanic(t, "has no route to node 5", func() { s.Receive(eng, &Packet{Dst: 5}) })
+	s.AddRoute(3, NewLink(eng, "l", units.Gbps, 0, NewDropTail(1<<20), &sink{}))
+	for _, d := range []NodeID{4, 5, -1, 0, 2} {
+		expectPanic(t, fmt.Sprintf("has no route to node %d (flow 7)", d),
+			func() { s.Receive(eng, &Packet{Dst: d, Flow: 7}) })
+	}
+	expectPanic(t, "route to negative node -2", func() { s.AddRoute(-2, nil) })
+}
+
+// TestSwitchAddRouteReplaces pins that a later AddRoute for the same
+// destination replaces the earlier one.
+func TestSwitchAddRouteReplaces(t *testing.T) {
+	eng := sim.New()
+	s := NewSwitch(0, "s")
+	old, cur := &sink{}, &sink{}
+	s.AddRoute(2, NewLink(eng, "old", units.Gbps, 0, NewDropTail(1<<20), old))
+	s.AddRoute(2, NewLink(eng, "cur", units.Gbps, 0, NewDropTail(1<<20), cur))
+	s.Receive(eng, &Packet{Dst: 2, Payload: 100})
+	eng.Run()
+	if len(old.pkts) != 0 || len(cur.pkts) != 1 {
+		t.Fatalf("replaced route got %d packets, current route %d; want 0 and 1", len(old.pkts), len(cur.pkts))
+	}
 }
 
 func TestDumbbellConfigValidation(t *testing.T) {

@@ -113,10 +113,20 @@ type EventID struct {
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Scheduled events wait in one binary min-heap ordered by (at, seq); each
 // queued event records its heap position, so Cancel is an O(log n) remove.
+//
+// Firing an event does not pop it first. Its entry stays at q[0] as a
+// hole while the handler runs, and the handler's first schedule drops
+// the new entry into the hole and sifts it down once, instead of a
+// sift-down for the pop and a sift-up for the push. A handler that
+// schedules nothing has the hole removed after it returns. The hole keeps
+// the smallest key in the heap (every later key is larger), so sifts and
+// Cancel never move an entry into it, and the firing order is the (at,
+// seq) order either way.
 type Engine struct {
 	now     Time
 	seq     uint64
 	stopped bool
+	hole    bool // q[0] is the firing event's dead entry
 	fired   uint64
 
 	q    []qent
@@ -132,8 +142,14 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have been executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return len(e.q) }
+// Pending reports how many events are currently scheduled. Inside a
+// handler the firing event is no longer pending.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.q) - 1
+	}
+	return len(e.q)
+}
 
 //mltcp:hot
 func (e *Engine) alloc() *event {
@@ -157,9 +173,17 @@ func (e *Engine) release(ev *event) {
 }
 
 // schedule queues ev to fire at t, after every event already queued for t.
+// Inside a handler the first call fills the firing event's hole.
 //
 //mltcp:hot
 func (e *Engine) schedule(t Time, ev *event) {
+	if e.hole {
+		e.hole = false
+		e.q[0] = qent{at: t, seq: e.seq, ev: ev}
+		e.seq++
+		e.down(0)
+		return
+	}
 	i := len(e.q)
 	e.q = append(e.q, qent{at: t, seq: e.seq, ev: ev})
 	e.seq++
@@ -230,17 +254,36 @@ func (e *Engine) remove(i int) {
 	}
 }
 
-// popLE removes and returns the earliest queued event and its firing
-// time if that time is ≤ limit; otherwise it returns a nil event.
+// closeHole removes the firing event's dead entry if no schedule filled
+// it. A handler that panicked leaves the hole open, so RunUntil and Step
+// close it before their first pop too.
 //
 //mltcp:hot
-func (e *Engine) popLE(limit Time) (Time, *event) {
-	if len(e.q) == 0 || e.q[0].at > limit {
-		return 0, nil
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.remove(0)
 	}
+}
+
+// fire runs the earliest queued event, leaving its entry at q[0] as the
+// hole while the handler runs.
+//
+//mltcp:hot
+func (e *Engine) fire() {
 	top := e.q[0]
-	e.remove(0)
-	return top.at, top.ev
+	ev := top.ev
+	e.now = top.at
+	e.fired++
+	fn, h := ev.fn, ev.h
+	e.release(ev)
+	e.hole = true
+	if h != nil {
+		h.HandleEvent(e)
+	} else {
+		fn(e)
+	}
+	e.closeHole()
 }
 
 // panicPast and panicNegative hold the panic formatting — whose fmt
@@ -338,20 +381,9 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 //mltcp:hot
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		at, ev := e.popLE(deadline)
-		if ev == nil {
-			break
-		}
-		e.now = at
-		e.fired++
-		fn, h := ev.fn, ev.h
-		e.release(ev)
-		if h != nil {
-			h.HandleEvent(e)
-		} else {
-			fn(e)
-		}
+	e.closeHole()
+	for !e.stopped && len(e.q) > 0 && e.q[0].at <= deadline {
+		e.fire()
 	}
 	if !e.stopped && deadline != MaxTime && e.now < deadline {
 		e.now = deadline
@@ -364,18 +396,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 //
 //mltcp:hot
 func (e *Engine) Step() bool {
-	at, ev := e.popLE(MaxTime)
-	if ev == nil {
+	e.closeHole()
+	if len(e.q) == 0 {
 		return false
 	}
-	e.now = at
-	e.fired++
-	fn, h := ev.fn, ev.h
-	e.release(ev)
-	if h != nil {
-		h.HandleEvent(e)
-	} else {
-		fn(e)
-	}
+	e.fire()
 	return true
 }

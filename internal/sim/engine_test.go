@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,6 +152,32 @@ func TestEngineStep(t *testing.T) {
 	}
 	if e.Step() {
 		t.Error("Step on empty queue returned true")
+	}
+}
+
+// TestEngineUsableAfterHandlerPanic pins that a handler panic recovered
+// outside the engine leaves it consistent: the panicking event's hole is
+// closed by the next run, and the remaining events fire in order.
+func TestEngineUsableAfterHandlerPanic(t *testing.T) {
+	e := New()
+	var got []int
+	e.At(1, func(*Engine) { panic("boom") })
+	e.At(2, func(*Engine) { got = append(got, 2) })
+	e.At(3, func(*Engine) { got = append(got, 3) })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("handler panic was swallowed")
+			}
+		}()
+		e.Run()
+	}()
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d after the panic, want 2", e.Pending())
+	}
+	e.Run()
+	if fmt.Sprint(got) != "[2 3]" || e.Pending() != 0 || e.Fired() != 3 {
+		t.Fatalf("after resuming: fired %v, Pending %d, Fired %d", got, e.Pending(), e.Fired())
 	}
 }
 

@@ -77,8 +77,8 @@ func (r *Receiver) HandlePacket(_ *sim.Engine, p *netsim.Packet) {
 	switch {
 	case p.Seq == r.rcvNxt:
 		r.rcvNxt += int64(p.Payload)
-		// Pull any buffered continuation forward.
-		for {
+		// Pull any buffered continuation forward (nearly always none).
+		for len(r.outOfOrder) > 0 {
 			n, ok := r.outOfOrder[r.rcvNxt]
 			if !ok {
 				break
